@@ -2,6 +2,11 @@
 //! longitudinal protocol at the Syn dataset's scale (k = 360, ε∞ = 1,
 //! ε1 = 0.5). This is the hot path of any real deployment — one call per
 //! user per collection round.
+//!
+//! A second group sweeps the domain size for the unary-encoding chains
+//! (RAPPOR and L-OSUE at k ∈ {128, 1024}): their IRR re-randomizes all k
+//! bits on every report through the dense perturbation kernel, so their
+//! cost grows linearly in k and a kernel regression shows up here first.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldp_hash::CarterWegman;
@@ -100,5 +105,26 @@ fn bench_clients(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_clients);
+fn bench_ue_domain_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ue_client_report_by_k");
+    group.sample_size(20);
+    for (chain, seed) in [(UeChain::SueSue, 8u64), (UeChain::OueSue, 9)] {
+        for k in [128u64, 1024] {
+            group.bench_function(format!("{}/k{k}", chain.name()), |b| {
+                let mut client = LongitudinalUeClient::new(chain, k, EPS_INF, EPS_1).unwrap();
+                let mut rng = derive_rng(seed, k);
+                let mut out = BitVec::zeros(k as usize);
+                let mut v = 0u64;
+                b.iter(|| {
+                    v = (v + 7) % k;
+                    client.report_into(black_box(v), &mut rng, &mut out);
+                    black_box(out.count_ones())
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_clients, bench_ue_domain_sweep);
 criterion_main!(benches);

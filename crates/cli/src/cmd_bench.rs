@@ -67,6 +67,8 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let cfg = config_from_flags(&flags)?;
     let runner = ExperimentRunner::new(cfg).map_err(CliError::new)?;
     let cfg = runner.config();
+    std::fs::create_dir_all(&cfg.out_dir)
+        .map_err(|e| CliError::new(format!("--out-dir {}: {e}", cfg.out_dir.display())))?;
     let mut out = format!(
         "harness `{}`: {} grid cells ({} runs each), seed {:#x}{}\n",
         cfg.name,
@@ -171,6 +173,32 @@ mod tests {
         assert!(out.contains("1 cells computed, 0 restored"), "{out}");
         let again = run(&argv(&args)).unwrap();
         assert!(again.contains("0 cells computed, 1 restored"), "{again}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn missing_nested_out_dir_is_created() {
+        let dir = temp_dir("nested");
+        let out_dir = dir.join("a").join("b");
+        let args = format!(
+            "--name nested --dataset syn --methods biloloha --eps 1.0 --runs 1 \
+             --n-frac 0.02 --tau-frac 0.05 --threads 1 --out-dir {} --sweep-only",
+            out_dir.display()
+        );
+        let out = run(&argv(&args)).unwrap();
+        assert!(out.contains("1 cells computed, 0 restored"), "{out}");
+        assert!(out_dir.join("nested.sweep.ckpt").is_file());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn uncreatable_out_dir_error_names_the_flag() {
+        let dir = temp_dir("blocked");
+        let file = dir.join("plain-file");
+        std::fs::write(&file, "").unwrap();
+        let args = format!("--out-dir {} --sweep-only", file.join("sub").display());
+        let err = run(&argv(&args)).unwrap_err();
+        assert!(err.message.starts_with("--out-dir "), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -18,7 +18,7 @@ use ldp_primitives::error::ParamError;
 use ldp_primitives::estimator::frequency_estimates;
 use ldp_primitives::params::sue_params;
 use ldp_primitives::BitVec;
-use ldp_rand::{sample_distinct, Bernoulli};
+use ldp_rand::{randomize_bits, sample_distinct, Bernoulli};
 use rand::RngCore;
 
 /// One dBitFlipPM report: the memoized bits for the user's `d` sampled
@@ -118,14 +118,14 @@ impl DBitFlipClient {
         let account_class = class.min(self.accountant_classes() - 1);
         self.accountant.observe(account_class);
         if self.memo[class as usize].is_none() {
+            // A `keep` draw at the sampled position matching the bucket
+            // (none for the "not sampled" class `d`), `noise` elsewhere.
             let d = self.sampled.len();
             let mut bits = BitVec::zeros(d);
-            for (l, &j) in self.sampled.iter().enumerate() {
-                let bern = if j == bucket { &self.keep } else { &self.noise };
-                if bern.sample(rng) {
-                    bits.set(l, true);
-                }
+            if (class as usize) < d {
+                bits.set(class as usize, true);
             }
+            bits.update_blocks(|blocks| randomize_bits(blocks, 0..d, &self.keep, &self.noise, rng));
             self.memo[class as usize] = Some(bits);
         }
         out.copy_from(self.memo[class as usize].as_ref().expect("just inserted"));
@@ -261,6 +261,7 @@ impl DBitFlipServer {
 mod tests {
     use super::*;
     use ldp_rand::derive_rng;
+    use proptest::prelude::*;
 
     #[test]
     fn constructor_validates() {
@@ -336,6 +337,52 @@ mod tests {
         for v in [3u64, 47, 3, 91, 12] {
             a.report_into(v, &mut rng_a, &mut buf);
             assert_eq!(buf, b.report(v, &mut rng_b).bits, "value {v}");
+        }
+    }
+
+    /// The per-position memo-build loop the word-at-a-time kernel
+    /// replaced, kept as its oracle.
+    fn memo_oracle<R: RngCore>(c: &DBitFlipClient, bucket: u32, rng: &mut R) -> BitVec {
+        let mut bits = BitVec::zeros(c.sampled.len());
+        for (l, &j) in c.sampled.iter().enumerate() {
+            let bern = if j == bucket { &c.keep } else { &c.noise };
+            if bern.sample(rng) {
+                bits.set(l, true);
+            }
+        }
+        bits
+    }
+
+    proptest! {
+        /// The memo build is stream-preserving: identical blocks (nothing
+        /// past `d`) and an identical next draw, for the matching sampled
+        /// position in the first, a middle or the last block, and for the
+        /// "not sampled" class.
+        #[test]
+        fn memo_build_matches_per_position_oracle(
+            d in 2u32..1100,
+            extra in 0u32..3,
+            pick in any::<u64>(),
+            eps in 0.1..6.0f64,
+            always_keep in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let b = d + extra;
+            let mut c = DBitFlipClient::new(u64::from(b), b, d, eps, &mut derive_rng(seed, 3))
+                .unwrap();
+            if always_keep {
+                c.keep = Bernoulli::new(1.0).unwrap();
+            }
+            let bucket = (pick % u64::from(b)) as u32;
+            let mut fast = BitVec::zeros(d as usize);
+            let (mut rng_fast, mut rng_slow) = (derive_rng(seed, 4), derive_rng(seed, 4));
+            c.report_into(u64::from(bucket), &mut rng_fast, &mut fast);
+            let slow = memo_oracle(&c, bucket, &mut rng_slow);
+            prop_assert_eq!(fast.blocks(), slow.blocks());
+            if d % 64 != 0 {
+                prop_assert_eq!(fast.blocks().last().unwrap() >> (d % 64), 0);
+            }
+            prop_assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
         }
     }
 

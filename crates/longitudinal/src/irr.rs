@@ -7,11 +7,13 @@
 //!
 //! The implementation mirrors `UeClient`: for sparse `q2` the rising zeros
 //! are enumerated by geometric skipping and the (few) ones re-drawn
-//! individually; for dense `q2` a straight per-bit loop is used.
+//! individually; for dense `q2` every bit takes one draw, written a whole
+//! 64-bit word at a time by the branch-free [`ldp_rand::randomize_bits`]
+//! kernel — the same draws, in the same order, as a per-bit loop.
 
 use ldp_primitives::params::PerturbParams;
 use ldp_primitives::BitVec;
-use ldp_rand::{Bernoulli, SparseHits};
+use ldp_rand::{randomize_bits, Bernoulli, SparseHits};
 use rand::RngCore;
 
 /// Below this `q2` the sparse path is used.
@@ -54,9 +56,9 @@ impl IrrKernel {
     ) {
         assert_eq!(out.len(), self.bits, "output length mismatch");
         assert_eq!(input.len(), self.bits.div_ceil(64), "input block mismatch");
-        out.clear();
         let q = self.params.q;
         if q > 0.0 && q < SPARSE_Q_THRESHOLD {
+            out.clear();
             // Rising zeros via skipping (hits on one-positions are
             // overwritten below, which preserves independence).
             for i in SparseHits::new(q, self.bits as u64, rng).expect("q in (0,1)") {
@@ -66,13 +68,10 @@ impl IrrKernel {
                 out.set(i, self.keep.sample(rng));
             }
         } else {
-            for i in 0..self.bits {
-                let is_one = (input[i / 64] >> (i % 64)) & 1 == 1;
-                let bern = if is_one { &self.keep } else { &self.noise };
-                if bern.sample(rng) {
-                    out.set(i, true);
-                }
-            }
+            out.copy_from_blocks(input);
+            out.update_blocks(|blocks| {
+                randomize_bits(blocks, 0..self.bits, &self.keep, &self.noise, rng)
+            });
         }
     }
 
@@ -105,6 +104,7 @@ fn iter_ones(blocks: &[u64], bits: usize) -> impl Iterator<Item = usize> + '_ {
 mod tests {
     use super::*;
     use ldp_rand::derive_rng;
+    use proptest::prelude::*;
 
     fn params(p: f64, q: f64) -> PerturbParams {
         PerturbParams::new(p, q).unwrap()
@@ -184,6 +184,48 @@ mod tests {
         for _ in 0..50 {
             let out = kernel.perturb_blocks(&input, &mut rng);
             assert!(out.get(67));
+        }
+    }
+
+    /// The per-bit dense loop the word-at-a-time kernel replaced, kept as
+    /// its oracle.
+    fn dense_oracle<R: RngCore>(kernel: &IrrKernel, input: &[u64], rng: &mut R) -> BitVec {
+        let mut out = BitVec::zeros(kernel.bits);
+        for i in 0..kernel.bits {
+            let is_one = (input[i / 64] >> (i % 64)) & 1 == 1;
+            let bern = if is_one { &kernel.keep } else { &kernel.noise };
+            if bern.sample(rng) {
+                out.set(i, true);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// The dense path is stream-preserving: identical blocks (nothing
+        /// past `bits`, even from stray input tail bits) and an identical
+        /// next draw, so the same draw count.
+        #[test]
+        fn dense_perturb_matches_per_bit_oracle(
+            bits in 2usize..1100,
+            words in proptest::collection::vec(any::<u64>(), 18),
+            p in prop_oneof![Just(1.0), 0.0..1.0f64],
+            q in prop_oneof![Just(0.0), 0.12..1.0f64],
+            seed in any::<u64>(),
+        ) {
+            prop_assume!(p != q);
+            let kernel = IrrKernel::new(bits, params(p, q));
+            let input = &words[..bits.div_ceil(64)];
+            let mut fast = BitVec::zeros(bits);
+            fast.set(bits - 1, true); // stale bits must be overwritten
+            let (mut rng_fast, mut rng_slow) = (derive_rng(seed, 2), derive_rng(seed, 2));
+            kernel.perturb_blocks_into(input, &mut rng_fast, &mut fast);
+            let slow = dense_oracle(&kernel, input, &mut rng_slow);
+            prop_assert_eq!(fast.blocks(), slow.blocks());
+            if bits % 64 != 0 {
+                prop_assert_eq!(fast.blocks().last().unwrap() >> (bits % 64), 0);
+            }
+            prop_assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
         }
     }
 

@@ -125,6 +125,21 @@ impl BitVec {
             "block count mismatch in copy_from_blocks"
         );
         self.blocks.copy_from_slice(blocks);
+        self.mask_tail();
+    }
+
+    /// Gives `f` write access to the raw blocks (the word-at-a-time
+    /// perturbation kernels' entry point). Bits beyond `len` that `f`
+    /// sets are masked off afterwards, as in [`BitVec::copy_from_blocks`].
+    #[inline]
+    pub fn update_blocks(&mut self, f: impl FnOnce(&mut [u64])) {
+        f(&mut self.blocks);
+        self.mask_tail();
+    }
+
+    /// Clears the unused high bits of the last block.
+    #[inline]
+    fn mask_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {
             if let Some(last) = self.blocks.last_mut() {
@@ -241,6 +256,17 @@ mod tests {
         bv.copy_from_blocks(&[0, u64::MAX]);
         let ones: Vec<usize> = bv.iter_ones().collect();
         assert_eq!(ones, vec![64, 65, 66, 67, 68, 69]);
+    }
+
+    #[test]
+    fn update_blocks_masks_stray_tail_bits() {
+        let mut bv = BitVec::zeros(70);
+        bv.update_blocks(|blocks| {
+            blocks[0] = 1;
+            blocks[1] = u64::MAX;
+        });
+        assert_eq!(bv.count_ones(), 7);
+        assert_eq!(bv.iter_ones().last(), Some(69));
     }
 
     #[test]

@@ -5,19 +5,21 @@
 //! probability `q`. SUE picks the symmetric pair (`p + q = 1`), OUE the
 //! variance-optimal pair (`p = 1/2`, `q = 1/(e^ε+1)`).
 //!
-//! Perturbation is O(k·q) expected time, not O(k): the zero bits that flip
-//! up are enumerated by geometric skipping when `q` is small, falling back
-//! to a per-bit loop for dense `q`.
+//! Perturbation is O(k·q) expected time, not O(k), when `q` is small: the
+//! zero bits that flip up are enumerated by geometric skipping. For dense
+//! `q` every zero bit takes one draw, written a whole 64-bit word at a
+//! time by the branch-free [`ldp_rand::randomize_bits`] kernel — the same
+//! draws, in the same order, as a per-bit loop.
 
 use crate::bitvec::BitVec;
 use crate::error::ParamError;
 use crate::estimator::frequency_estimates;
 use crate::params::{oue_params, sue_params, PerturbParams};
-use ldp_rand::{Bernoulli, SparseHits};
+use ldp_rand::{randomize_bits, Bernoulli, SparseHits};
 use rand::RngCore;
 
 /// Below this noise probability the zero bits are enumerated by geometric
-/// skipping; above it a dense per-bit loop is cheaper.
+/// skipping; above it the dense word-at-a-time kernel is cheaper.
 const SPARSE_Q_THRESHOLD: f64 = 0.12;
 
 /// A one-shot UE client.
@@ -103,11 +105,12 @@ impl UeClient {
             }
             bits.set(v, false);
         } else if q > 0.0 {
-            for i in 0..self.k {
-                if i != v && self.noise.sample(rng) {
-                    bits.set(i, true);
-                }
-            }
+            // Every bit is clear, so each position takes a `noise` draw;
+            // the true index is skipped and drawn last, from `keep`.
+            bits.update_blocks(|blocks| {
+                randomize_bits(blocks, 0..v, &self.keep, &self.noise, rng);
+                randomize_bits(blocks, v + 1..self.k, &self.keep, &self.noise, rng);
+            });
         }
         bits.set(v, self.keep.sample(rng));
     }
@@ -165,6 +168,7 @@ mod tests {
     use super::*;
     use crate::estimator::single_variance_approx;
     use ldp_rand::derive_rng;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_validate() {
@@ -218,6 +222,55 @@ mod tests {
             let qtol = 5.0 * (pp.q * (1.0 - pp.q) / n as f64).sqrt();
             assert!((p_hat - pp.p).abs() < ptol, "p {p_hat} vs {}", pp.p);
             assert!((q_hat - pp.q).abs() < qtol, "q {q_hat} vs {}", pp.q);
+        }
+    }
+
+    /// The per-bit dense loop the word-at-a-time kernel replaced, kept as
+    /// its oracle: one `noise` draw per position except `v`, then `keep`.
+    fn dense_oracle<R: RngCore>(client: &UeClient, value: u64, rng: &mut R) -> BitVec {
+        let v = value as usize;
+        let mut bits = BitVec::zeros(client.k);
+        for i in 0..client.k {
+            if i != v && client.noise.sample(rng) {
+                bits.set(i, true);
+            }
+        }
+        bits.set(v, client.keep.sample(rng));
+        bits
+    }
+
+    proptest! {
+        /// The dense path is stream-preserving: identical blocks (nothing
+        /// past `k`) and an identical next draw, so the same draw count,
+        /// for k not a multiple of 64 and the true value anywhere.
+        #[test]
+        fn dense_perturb_matches_per_bit_oracle(
+            k in 2u64..1100,
+            at in 0u64..3,
+            offset in 0u64..1100,
+            p in prop_oneof![Just(1.0), 0.5..1.0f64],
+            q in 0.12..0.5f64,
+            seed in any::<u64>(),
+        ) {
+            // Somewhere in the first, a middle or the last block.
+            let last_block = (k - 1) / 64 * 64;
+            let value = match at {
+                0 => offset % k.min(64),
+                1 => (k / 2 + offset) % k,
+                _ => last_block + offset % (k - last_block),
+            };
+            let client = UeClient::with_params(k, p, q).unwrap();
+            let mut fast = BitVec::zeros(k as usize);
+            fast.set(0, true); // stale bits must be cleared
+            let (mut rng_fast, mut rng_slow) = (derive_rng(seed, 1), derive_rng(seed, 1));
+            client.perturb_into(value, &mut rng_fast, &mut fast);
+            let slow = dense_oracle(&client, value, &mut rng_slow);
+            prop_assert_eq!(fast.blocks(), slow.blocks());
+            let tail = k as usize % 64;
+            if tail != 0 {
+                prop_assert_eq!(fast.blocks().last().unwrap() >> tail, 0);
+            }
+            prop_assert_eq!(rng_fast.next_u64(), rng_slow.next_u64());
         }
     }
 
