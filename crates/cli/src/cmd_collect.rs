@@ -14,12 +14,13 @@
 //! demonstrates what the server would learn, never the raw histogram.
 //!
 //! Scaling and durability flags: `--shards N` spreads the in-process
-//! aggregator over N shards; `--workers N` collects through the
-//! concurrent `ldp_ingest` worker pipeline *and* sanitizes with N client
-//! worker threads; `--checkpoint PATH` persists the shard state mid-round
-//! and resumes from the file; `--client-checkpoint PATH` does the same
-//! for the client pool (memo tables + RNG stream positions), so the pair
-//! simulates a full-collector restart. `--client-checkpoint-chunk N`
+//! aggregator over N shards, each filled by its own sanitize thread;
+//! `--workers N` collects through the concurrent `ldp_ingest` worker
+//! pipeline *and* sanitizes with N client worker threads;
+//! `--checkpoint PATH` persists the shard state mid-round and resumes
+//! from the file; `--client-checkpoint PATH` does the same for the client
+//! pool (memo tables + RNG stream positions), so the pair simulates a
+//! full-collector restart. `--client-checkpoint-chunk N`
 //! switches the client store to its incremental (segmented) mode: PATH
 //! becomes a directory, the pool is split into N-user segments, and every
 //! finished round persists only the segments whose users reported —
@@ -39,8 +40,8 @@
 
 use crate::args::Flags;
 use crate::CliError;
-use ldp_client::{ClientConfig, ClientPool, ClientStore, ReportBuf};
-use ldp_ingest::{IngestPipeline, ShardStore};
+use ldp_client::{ClientConfig, ClientPool, ClientStore};
+use ldp_ingest::{IngestPipeline, ShardStore, DEFAULT_BATCH_REPORTS};
 use ldp_obs::MetricsRegistry;
 use ldp_primitives::codec;
 use ldp_runtime::ShardedAggregator;
@@ -55,14 +56,14 @@ use std::path::Path;
 /// the aggregation runtime's merge is order-independent — so the flag only
 /// changes the collection topology, never the estimates.
 enum Collector {
-    Direct { agg: ShardedAggregator, shards: u64 },
-    Piped(IngestPipeline),
+    Direct(Box<ShardedAggregator>),
+    Piped(Box<IngestPipeline>),
 }
 
 impl Collector {
     fn finish_round(&mut self) -> Result<Vec<f64>, CliError> {
         match self {
-            Collector::Direct { agg, .. } => Ok(agg.finish_round().estimate),
+            Collector::Direct(agg) => Ok(agg.finish_round().estimate),
             Collector::Piped(pipe) => Ok(pipe.finish_round().map_err(CliError::new)?.estimate),
         }
     }
@@ -228,8 +229,9 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
         ClientPool::with_obs(ClientConfig::for_loloha(k, params), seed, index.len(), &reg)
             .map_err(CliError::new)?;
 
-    // The server side: by default the shared sharded aggregator (each
-    // user's report lands in the shard `user % shards`); with `--workers`
+    // The server side: by default the shared sharded aggregator (shard
+    // `i` holds the reports of the `i`-th contiguous range of dense pool
+    // indices, sanitized on its own thread); with `--workers`
     // (or `--checkpoint`) the concurrent ingest pipeline, routing by a
     // stable hash of the user's dense pool index (the routing key for a
     // given user therefore depends on which other users appear in the
@@ -238,16 +240,15 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
     // either way.
     let piped_workers = workers.unwrap_or(1).max(1) as usize;
     let mut collector = if workers.is_some() || store.is_some() {
-        Collector::Piped(
+        Collector::Piped(Box::new(
             IngestPipeline::for_loloha_obs(k, params, piped_workers, &reg)
                 .map_err(CliError::new)?,
-        )
+        ))
     } else {
-        Collector::Direct {
-            agg: ShardedAggregator::for_loloha_obs(k, params, shards as usize, &reg)
+        Collector::Direct(Box::new(
+            ShardedAggregator::for_loloha_obs(k, params, shards as usize, &reg)
                 .map_err(CliError::new)?,
-            shards,
-        }
+        ))
     };
 
     let mut out = format!(
@@ -263,9 +264,8 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
     let mut seg_written = 0usize;
     let mut seg_possible = 0usize;
     for (round, entries) in &rounds {
-        // Entries mapped to pool indices; dense index is the ingest
-        // routing key, the raw user id keeps the direct path's shard
-        // placement.
+        // Entries mapped to pool indices: the dense index is both the
+        // ingest routing key and the direct path's shard placement.
         let assignments: Vec<(usize, u64)> = entries.iter().map(|&(u, v)| (index[&u], v)).collect();
         // With a durability drill pending, split the round at its
         // midpoint: sanitize the first half, persist + restore (a
@@ -282,18 +282,16 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
                 continue;
             }
             match &mut collector {
-                Collector::Direct { agg, shards } => {
-                    let mut buf = ReportBuf::new();
-                    for i in range.clone() {
-                        let (idx, value) = assignments[i];
-                        let (user, _) = entries[i];
-                        pool.sanitize_one(idx, value, &mut buf);
-                        agg.push_report((user % *shards) as usize, buf.support().iter().copied());
-                    }
+                Collector::Direct(agg) => {
+                    let Ok(()) =
+                        pool.sanitize_assignments(&assignments[range.clone()], agg.shards_mut());
                 }
                 Collector::Piped(pipe) => {
                     let handle = pipe.handle();
-                    pool.sanitize_assignments(&assignments[range.clone()], piped_workers, &handle)
+                    let mut sinks: Vec<_> = (0..piped_workers)
+                        .map(|_| handle.batching(DEFAULT_BATCH_REPORTS))
+                        .collect();
+                    pool.sanitize_assignments(&assignments[range.clone()], &mut sinks)
                         .map_err(CliError::new)?;
                 }
             }
@@ -309,7 +307,7 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
                     fresh
                         .restore(&store.load().map_err(CliError::new)?)
                         .map_err(CliError::new)?;
-                    *pipe = fresh;
+                    **pipe = fresh;
                 }
                 // Client half: persist every user's memo + RNG position
                 // and fold it back into a rebuilt pool. The pool state

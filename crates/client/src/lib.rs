@@ -17,10 +17,13 @@
 //!   single [`ClientConfig::build_state`] constructor every front end
 //!   dispatches through.
 //! * [`ClientPool`] — the owner of all per-user state in a dense layout
-//!   with `(seed, user)`-derived SplitMix/Xoshiro RNG streams, and
-//!   [`ClientPool::sanitize_round`]: N-way parallel sanitization feeding
-//!   report envelopes straight into `ldp_ingest::IngestPipeline` handles,
-//!   bit-identical to a single-threaded pass for any worker count.
+//!   with `(seed, user)`-derived SplitMix/Xoshiro RNG streams, and its
+//!   one sanitize pass: users split into contiguous chunks, chunk `i`
+//!   sanitized on its own thread into [`ReportSink`] `i` — batching
+//!   submitters of an `ldp_ingest::IngestPipeline`
+//!   ([`ClientPool::sanitize_round`]), aggregator shards
+//!   ([`ClientPool::sanitize_round_into_shards`]), or network sinks —
+//!   bit-identical to a single-threaded pass for any sink type or count.
 //! * [`ClientStore`] / [`ClientCheckpoint`] — durable client-state
 //!   checkpoints in the workspace's unified container codec
 //!   ([`ldp_primitives::codec`]; on-disk spec in

@@ -26,11 +26,12 @@
 use crate::config::ClientConfig;
 use crate::state::{ClientState, ReportBuf};
 use crate::store::{ClientCheckpoint, ClientRecord, ClientStoreError};
-use ldp_ingest::{IngestError, IngestHandle, DEFAULT_BATCH_REPORTS};
+use ldp_ingest::{BatchSubmitter, IngestError, IngestHandle, DEFAULT_BATCH_REPORTS};
 use ldp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span};
 use ldp_primitives::error::ParamError;
 use ldp_rand::{derive_rng2, LdpRng, Xoshiro256pp};
 use ldp_runtime::Shard;
+use std::convert::Infallible;
 
 /// The stream tag under which per-user RNGs derive from the master seed.
 /// Pinned: changing it would re-randomize every reproduction seed.
@@ -65,15 +66,27 @@ pub trait ReportSink {
 /// The in-process reference sink: the batched ingest transport itself.
 /// `finish` flushes without consuming (the pool calls it through a
 /// mutable borrow); callers still own the submitter afterwards.
-impl ReportSink for ldp_ingest::BatchSubmitter {
+impl ReportSink for BatchSubmitter {
     type Error = IngestError;
 
     fn submit(&mut self, user: u64, support: &[usize]) -> Result<(), IngestError> {
-        ldp_ingest::BatchSubmitter::submit(self, user, support.iter().copied())
+        BatchSubmitter::submit(self, user, support.iter().copied())
     }
 
     fn finish(&mut self) -> Result<(), IngestError> {
         self.flush()
+    }
+}
+
+/// The direct sink: an aggregator shard folds each report as it arrives,
+/// so a round fills `ldp_runtime::ShardedAggregator::shards_mut` with no
+/// pipeline in between.
+impl ReportSink for Shard {
+    type Error = Infallible;
+
+    fn submit(&mut self, _user: u64, support: &[usize]) -> Result<(), Infallible> {
+        self.add_report(support.iter().copied());
+        Ok(())
     }
 }
 
@@ -206,8 +219,8 @@ impl ClientPool {
         self.users.iter().map(|u| u.state.as_ref())
     }
 
-    /// Sanitizes one user's value into `buf` (single-threaded callers:
-    /// the CLI's direct path, tests).
+    /// Sanitizes one user's value into `buf`, outside any round pass
+    /// (single-report callers: tests, resume drills, micro-benchmarks).
     ///
     /// # Panics
     /// Panics if `user` is out of range.
@@ -221,11 +234,11 @@ impl ClientPool {
     }
 
     /// Sanitizes a full round — `values[u]` is user `u`'s value — across
-    /// `workers` threads, submitting to the ingest pipeline keyed by user
-    /// index through the batched transport
-    /// ([`ldp_ingest::DEFAULT_BATCH_REPORTS`] reports per envelope).
-    /// Bit-identical to a single-threaded pass — and to per-report
-    /// submission — for any worker count and batch size.
+    /// `workers` threads into the ingest pipeline behind `handle`, one
+    /// [`ldp_ingest::BatchSubmitter`] per thread
+    /// ([`ldp_ingest::DEFAULT_BATCH_REPORTS`] reports per envelope). An
+    /// adapter over [`Self::sanitize_round_sinks`]; bit-identical for any
+    /// worker count.
     ///
     /// # Panics
     /// Panics if `values.len()` differs from the population size.
@@ -235,95 +248,18 @@ impl ClientPool {
         workers: usize,
         handle: &IngestHandle,
     ) -> Result<(), IngestError> {
-        self.sanitize_round_batched(values, workers, handle, DEFAULT_BATCH_REPORTS)
-    }
-
-    /// [`Self::sanitize_round`] with an explicit transport batch size
-    /// (clamped to ≥ 1 by the submitter). Every worker finishes its
-    /// [`ldp_ingest::BatchSubmitter`] before joining, so the pipeline's
-    /// next barrier observes the whole round.
-    pub fn sanitize_round_batched(
-        &mut self,
-        values: &[u64],
-        workers: usize,
-        handle: &IngestHandle,
-        batch_reports: usize,
-    ) -> Result<(), IngestError> {
-        assert_eq!(values.len(), self.users.len(), "one value per user");
-        let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.mark_all_dirty();
-        let chunk_len = chunk_len(self.users.len(), workers);
-        let results: Vec<Result<(), IngestError>> = std::thread::scope(|s| {
-            let mut joins = Vec::new();
-            for (ci, chunk) in self.users.chunks_mut(chunk_len).enumerate() {
-                let base = ci * chunk_len;
-                let slice = &values[base..base + chunk.len()];
-                let h = handle.clone();
-                joins.push(s.spawn(move || {
-                    let mut sub = h.batching(batch_reports);
-                    let mut buf = ReportBuf::new();
-                    for (j, (slot, &value)) in chunk.iter_mut().zip(slice).enumerate() {
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        sub.submit((base + j) as u64, buf.support().iter().copied())?;
-                    }
-                    sub.finish()
-                }));
-            }
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("sanitize worker panicked"))
-                .collect()
-        });
-        self.obs.reports.inc_by(values.len() as u64);
-        results.into_iter().collect()
-    }
-
-    /// [`Self::sanitize_round`] over the per-report transport (one
-    /// envelope per report). The batched path's oracle: the property
-    /// suites assert both produce bit-identical rounds.
-    pub fn sanitize_round_per_report(
-        &mut self,
-        values: &[u64],
-        workers: usize,
-        handle: &IngestHandle,
-    ) -> Result<(), IngestError> {
-        assert_eq!(values.len(), self.users.len(), "one value per user");
-        let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.mark_all_dirty();
-        let chunk_len = chunk_len(self.users.len(), workers);
-        let results: Vec<Result<(), IngestError>> = std::thread::scope(|s| {
-            let mut joins = Vec::new();
-            for (ci, chunk) in self.users.chunks_mut(chunk_len).enumerate() {
-                let base = ci * chunk_len;
-                let slice = &values[base..base + chunk.len()];
-                let h = handle.clone();
-                joins.push(s.spawn(move || {
-                    let mut buf = ReportBuf::new();
-                    for (j, (slot, &value)) in chunk.iter_mut().zip(slice).enumerate() {
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        h.submit((base + j) as u64, buf.support().iter().copied())?;
-                    }
-                    Ok(())
-                }));
-            }
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("sanitize worker panicked"))
-                .collect()
-        });
-        self.obs.reports.inc_by(values.len() as u64);
-        results.into_iter().collect()
+        self.sanitize_round_sinks(values, &mut batching_sinks(handle, workers))
     }
 
     /// Sanitizes a full round into caller-provided [`ReportSink`]s, one
     /// sink per worker thread: users split into `sinks.len()` contiguous
-    /// chunks exactly as [`Self::sanitize_round_batched`] splits them
-    /// over workers, chunk `i` reporting through `sinks[i]`. With
-    /// in-process batching sinks this *is* the batched path; with
-    /// `ldp_netd`'s network sinks the same pass drives a remote
-    /// collector — per-user sanitization, routing keys, and RNG
-    /// consumption are identical either way, which is what makes the
-    /// network path's output byte-identical to the local one.
+    /// chunks, chunk `i` reporting through `sinks[i]`. With in-process
+    /// batching sinks this feeds the ingest pipeline, with aggregator
+    /// [`Shard`]s it fills them directly, and with `ldp_netd`'s network
+    /// sinks the same pass drives a remote collector — per-user
+    /// sanitization, routing keys, and RNG consumption are identical
+    /// either way, which is what makes every topology's output
+    /// byte-identical.
     ///
     /// Trailing sinks beyond the number of chunks (more sinks than
     /// users) receive no reports and are not finished.
@@ -342,129 +278,98 @@ impl ClientPool {
         assert_eq!(values.len(), self.users.len(), "one value per user");
         assert!(!sinks.is_empty(), "at least one sink");
         let _timed = Span::enter(&self.obs.sanitize_ns);
+        self.obs.reports.inc_by(values.len() as u64);
         self.mark_all_dirty();
         let chunk_len = chunk_len(self.users.len(), sinks.len());
-        let results: Vec<Result<(), S::Error>> = std::thread::scope(|s| {
-            let mut joins = Vec::new();
-            for ((ci, chunk), sink) in self
-                .users
-                .chunks_mut(chunk_len)
-                .enumerate()
-                .zip(sinks.iter_mut())
-            {
-                let base = ci * chunk_len;
-                let slice = &values[base..base + chunk.len()];
-                joins.push(s.spawn(move || {
-                    let mut buf = ReportBuf::new();
-                    for (j, (slot, &value)) in chunk.iter_mut().zip(slice).enumerate() {
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        sink.submit((base + j) as u64, buf.support())?;
-                    }
-                    sink.finish()
-                }));
-            }
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("sanitize worker panicked"))
-                .collect()
-        });
-        self.obs.reports.inc_by(values.len() as u64);
-        results.into_iter().collect()
+        let work = values
+            .chunks(chunk_len)
+            .enumerate()
+            .map(|(ci, chunk)| (ci * chunk_len..).zip(chunk.iter().copied()));
+        self.drive(chunk_len, work, sinks)
     }
 
-    /// Sanitizes a full round directly into aggregator shards: users are
-    /// split into `shards.len()` contiguous chunks, chunk `i` filling
-    /// `shards[i]` on its own thread (the non-pipelined engine path).
-    /// Bit-identical to [`ClientPool::sanitize_round`] — the shard merge
-    /// is order-independent.
+    /// Sanitizes a full round directly into aggregator shards, chunk `i`
+    /// of the users filling `shards[i]` on its own thread (the
+    /// non-pipelined engine path). An adapter over
+    /// [`Self::sanitize_round_sinks`].
     ///
     /// # Panics
     /// Panics if `values.len()` differs from the population size or
     /// `shards` is empty.
     pub fn sanitize_round_into_shards(&mut self, values: &[u64], shards: &mut [Shard]) {
-        assert_eq!(values.len(), self.users.len(), "one value per user");
-        assert!(!shards.is_empty(), "at least one shard");
-        let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.obs.reports.inc_by(values.len() as u64);
-        self.mark_all_dirty();
-        let chunk_len = chunk_len(self.users.len(), shards.len());
-        std::thread::scope(|s| {
-            let mut offset = 0usize;
-            for (chunk, shard) in self.users.chunks_mut(chunk_len).zip(shards.iter_mut()) {
-                let slice = &values[offset..offset + chunk.len()];
-                offset += chunk.len();
-                s.spawn(move || {
-                    let mut buf = ReportBuf::new();
-                    for (slot, &value) in chunk.iter_mut().zip(slice) {
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        shard.add_report(buf.support().iter().copied());
-                    }
-                });
-            }
-        });
+        let Ok(()) = self.sanitize_round_sinks(values, shards);
     }
 
     /// Sanitizes a sparse round — `(user, value)` assignments for the
-    /// users reporting this round — across `workers` threads, submitting
-    /// to the pipeline keyed by user index through the batched transport
-    /// ([`ldp_ingest::DEFAULT_BATCH_REPORTS`] reports per envelope). Each
-    /// worker owns a contiguous user-index range and handles the
-    /// assignments falling in it, so the result is bit-identical for any
-    /// worker count and batch size.
+    /// users reporting this round — into `sinks`, split by user index
+    /// exactly as [`Self::sanitize_round_sinks`] splits a dense round:
+    /// sink `i` receives the assignments falling in chunk `i`, in their
+    /// original order, so the result is bit-identical for any sink count.
     ///
     /// # Panics
-    /// Panics if an assignment names an out-of-range user. A user assigned
-    /// twice in one call sanitizes twice (the protocols allow it, but the
-    /// CLI rejects duplicate user/round pairs upstream).
-    pub fn sanitize_assignments(
+    /// Panics if `sinks` is empty or an assignment names an out-of-range
+    /// user. A user assigned twice in one call sanitizes twice (the
+    /// protocols allow it, but the CLI rejects duplicate user/round pairs
+    /// upstream).
+    pub fn sanitize_assignments<S>(
         &mut self,
         assignments: &[(usize, u64)],
-        workers: usize,
-        handle: &IngestHandle,
-    ) -> Result<(), IngestError> {
-        self.sanitize_assignments_batched(assignments, workers, handle, DEFAULT_BATCH_REPORTS)
-    }
-
-    /// [`Self::sanitize_assignments`] with an explicit transport batch
-    /// size (clamped to ≥ 1 by the submitter). Every worker finishes its
-    /// [`ldp_ingest::BatchSubmitter`] before joining.
-    pub fn sanitize_assignments_batched(
-        &mut self,
-        assignments: &[(usize, u64)],
-        workers: usize,
-        handle: &IngestHandle,
-        batch_reports: usize,
-    ) -> Result<(), IngestError> {
+        sinks: &mut [S],
+    ) -> Result<(), S::Error>
+    where
+        S: ReportSink + Send,
+    {
+        assert!(!sinks.is_empty(), "at least one sink");
         let _timed = Span::enter(&self.obs.sanitize_ns);
         self.obs.reports.inc_by(assignments.len() as u64);
-        let chunk_len = chunk_len(self.users.len(), workers);
-        // One O(assignments) bucketing pass: each worker receives only its
-        // own entries, in their original order, instead of every worker
+        let chunk_len = chunk_len(self.users.len(), sinks.len());
+        // One O(assignments) bucketing pass: each thread receives only its
+        // own entries, in their original order, instead of every thread
         // re-scanning the whole slice.
-        let n_buckets = self.users.len().div_ceil(chunk_len);
-        let mut buckets: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n_buckets];
+        let mut buckets = vec![Vec::new(); self.users.len().div_ceil(chunk_len)];
         for &(u, value) in assignments {
             assert!(u < self.users.len(), "assignment names user {u}");
             self.mark_dirty(u);
             buckets[u / chunk_len].push((u, value));
         }
         self.publish_dirty();
-        let results: Vec<Result<(), IngestError>> = std::thread::scope(|s| {
-            let mut joins = Vec::new();
-            for ((ci, chunk), bucket) in self.users.chunks_mut(chunk_len).enumerate().zip(buckets) {
-                let base = ci * chunk_len;
-                let h = handle.clone();
-                joins.push(s.spawn(move || {
-                    let mut sub = h.batching(batch_reports);
-                    let mut buf = ReportBuf::new();
-                    for (u, value) in bucket {
-                        let slot = &mut chunk[u - base];
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        sub.submit(u as u64, buf.support().iter().copied())?;
-                    }
-                    sub.finish()
-                }));
-            }
+        self.drive(chunk_len, buckets, sinks)
+    }
+
+    /// The pool's one sanitize pass. Users split into contiguous chunks
+    /// of `chunk_len`; chunk `i` runs on its own scoped thread, sanitizes
+    /// its `(user, value)` pairs — the `i`-th item of `work`, every user
+    /// inside chunk `i` — into `sinks[i]`, and finishes that sink.
+    fn drive<S, W>(
+        &mut self,
+        chunk_len: usize,
+        work: impl IntoIterator<Item = W>,
+        sinks: &mut [S],
+    ) -> Result<(), S::Error>
+    where
+        S: ReportSink + Send,
+        W: IntoIterator<Item = (usize, u64)> + Send,
+    {
+        let results: Vec<Result<(), S::Error>> = std::thread::scope(|s| {
+            let joins: Vec<_> = self
+                .users
+                .chunks_mut(chunk_len)
+                .zip(work)
+                .zip(sinks.iter_mut())
+                .enumerate()
+                .map(|(ci, ((chunk, pairs), sink))| {
+                    let base = ci * chunk_len;
+                    s.spawn(move || {
+                        let mut buf = ReportBuf::new();
+                        for (user, value) in pairs {
+                            let slot = &mut chunk[user - base];
+                            slot.state.report_into(value, &mut slot.rng, &mut buf);
+                            sink.submit(user as u64, buf.support())?;
+                        }
+                        sink.finish()
+                    })
+                })
+                .collect();
             joins
                 .into_iter()
                 .map(|j| j.join().expect("sanitize worker panicked"))
@@ -551,6 +456,14 @@ fn chunk_len(n: usize, workers: usize) -> usize {
     n.div_ceil(workers.max(1)).max(1)
 }
 
+/// One default-size batching submitter per sanitize thread (`workers`
+/// clamps to ≥ 1).
+fn batching_sinks(handle: &IngestHandle, workers: usize) -> Vec<BatchSubmitter> {
+    (0..workers.max(1))
+        .map(|_| handle.batching(DEFAULT_BATCH_REPORTS))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,25 +522,69 @@ mod tests {
         }
     }
 
+    /// A shard sink that records whether the pass finished it.
+    struct Finished<'a>(&'a mut Shard, bool);
+
+    impl ReportSink for Finished<'_> {
+        type Error = Infallible;
+
+        fn submit(&mut self, user: u64, support: &[usize]) -> Result<(), Infallible> {
+            self.0.submit(user, support)
+        }
+
+        fn finish(&mut self) -> Result<(), Infallible> {
+            self.1 = true;
+            Ok(())
+        }
+    }
+
     #[test]
     fn assignments_match_dense_round_for_full_population() {
-        let vals = values(30);
-        let dense_assign: Vec<(usize, u64)> = vals.iter().copied().enumerate().collect();
-        let mut a = pool(Method::LOsue, 30);
-        let mut pipe_a = IngestPipeline::for_method(Method::LOsue, 16, 2.0, 1.0, 2).unwrap();
-        let ha = pipe_a.handle();
-        a.sanitize_round(&vals, 2, &ha).unwrap();
-        drop(ha);
-        let want = pipe_a.finish_round().unwrap();
+        // (users, sinks, users reporting, sinks finished): the full
+        // population, a 3-user pool over 8 sinks (the trailing sinks get
+        // no chunk and stay unfinished), and an empty assignment list.
+        for (n, n_sinks, reporting, finished) in [(30, 4, 30, 4), (3, 8, 3, 3), (30, 3, 0, 3)] {
+            for method in Method::all() {
+                let ctx = format!("{method:?}, {n} users, {n_sinks} sinks, {reporting} reporting");
+                let vals = values(n);
+                let assign: Vec<_> = vals.iter().copied().enumerate().take(reporting).collect();
+                let mut pipe_a = IngestPipeline::for_method(method, 16, 2.0, 1.0, 2).unwrap();
+                if reporting == n {
+                    pool(method, n)
+                        .sanitize_round(&vals, 2, &pipe_a.handle())
+                        .unwrap();
+                }
+                let want = pipe_a.finish_round().unwrap();
 
-        let mut b = pool(Method::LOsue, 30);
-        let mut pipe_b = IngestPipeline::for_method(Method::LOsue, 16, 2.0, 1.0, 3).unwrap();
-        let hb = pipe_b.handle();
-        b.sanitize_assignments(&dense_assign, 4, &hb).unwrap();
-        drop(hb);
-        let got = pipe_b.finish_round().unwrap();
-        assert_eq!(want.counts, got.counts);
-        assert_eq!(want.reports, got.reports);
+                let mut pipe_b = IngestPipeline::for_method(method, 16, 2.0, 1.0, 3).unwrap();
+                let mut b = pool(method, n);
+                b.sanitize_assignments(&assign, &mut batching_sinks(&pipe_b.handle(), n_sinks))
+                    .unwrap();
+                let got = pipe_b.finish_round().unwrap();
+                assert_eq!(want.counts, got.counts, "{ctx}: batching sinks");
+                assert_eq!(want.reports, got.reports, "{ctx}: batching sinks");
+
+                let mut agg = ShardedAggregator::for_method(method, 16, 2.0, 1.0, n_sinks).unwrap();
+                let mut sinks: Vec<_> = agg
+                    .shards_mut()
+                    .iter_mut()
+                    .map(|s| Finished(s, false))
+                    .collect();
+                let mut c = pool(method, n);
+                let Ok(()) = c.sanitize_assignments(&assign, &mut sinks);
+                let done: Vec<bool> = sinks.iter().map(|s| s.1).collect();
+                assert_eq!(
+                    done,
+                    (0..n_sinks).map(|i| i < finished).collect::<Vec<_>>(),
+                    "{ctx}"
+                );
+                drop(sinks);
+                let got = agg.finish_round();
+                assert_eq!(want.counts, got.counts, "{ctx}: shard sinks");
+                assert_eq!(want.reports, got.reports, "{ctx}: shard sinks");
+                assert_eq!(b.checkpoint(), c.checkpoint(), "{ctx}: pool state");
+            }
+        }
     }
 
     #[test]
@@ -649,8 +606,11 @@ mod tests {
             p.sanitize_one(user, 5, &mut buf);
             check(&p, "sanitize_one");
         }
-        p.sanitize_assignments(&[(17, 1), (4, 2), (4, 3), (22, 9)], 2, &handle)
-            .unwrap();
+        p.sanitize_assignments(
+            &[(17, 1), (4, 2), (4, 3), (22, 9)],
+            &mut batching_sinks(&handle, 2),
+        )
+        .unwrap();
         check(&p, "sanitize_assignments");
         let cp = p.checkpoint();
         p.mark_clean();
@@ -662,7 +622,8 @@ mod tests {
         p.sanitize_round(&values(30), 2, &handle).unwrap();
         check(&p, "sanitize_round");
         p.mark_clean();
-        p.sanitize_assignments(&[(1, 1)], 1, &handle).unwrap();
+        p.sanitize_assignments(&[(1, 1)], &mut batching_sinks(&handle, 1))
+            .unwrap();
         p.sanitize_one(1, 2, &mut buf);
         p.sanitize_one(2, 2, &mut buf);
         check(&p, "assignments + sanitize_one");

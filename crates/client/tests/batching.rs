@@ -7,8 +7,8 @@
 //! per-report round, and a full-collector checkpoint/resume taken while
 //! batches were in flight loses and duplicates nothing.
 
-use ldp_client::{ClientConfig, ClientPool, ReportBuf};
-use ldp_ingest::IngestPipeline;
+use ldp_client::{ClientConfig, ClientPool, ReportBuf, ReportSink};
+use ldp_ingest::{BatchSubmitter, IngestError, IngestHandle, IngestPipeline};
 use ldp_runtime::{AggregateSnapshot, Method};
 
 const K: u64 = 16;
@@ -24,6 +24,28 @@ fn pool(method: Method) -> ClientPool {
 
 fn values() -> Vec<u64> {
     (0..USERS as u64).map(|i| (i * 7) % K).collect()
+}
+
+/// The per-report transport, one envelope per report: the oracle the
+/// batched submitters are checked against.
+struct PerReport(IngestHandle);
+
+impl ReportSink for PerReport {
+    type Error = IngestError;
+
+    fn submit(&mut self, user: u64, support: &[usize]) -> Result<(), IngestError> {
+        self.0.submit(user, support.iter().copied())
+    }
+}
+
+/// `workers` per-report sinks over `handle`.
+fn per_report(handle: &IngestHandle, workers: usize) -> Vec<PerReport> {
+    (0..workers).map(|_| PerReport(handle.clone())).collect()
+}
+
+/// `workers` batching sinks of `batch` reports per envelope over `handle`.
+fn batching(handle: &IngestHandle, workers: usize, batch: usize) -> Vec<BatchSubmitter> {
+    (0..workers).map(|_| handle.batching(batch)).collect()
 }
 
 fn assert_bit_identical(a: &AggregateSnapshot, b: &AggregateSnapshot, ctx: &str) {
@@ -45,7 +67,7 @@ fn batched_round_equals_per_report_round_for_every_method() {
         let mut ref_pipe = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 2).unwrap();
         let handle = ref_pipe.handle();
         reference
-            .sanitize_round_per_report(&vals, 2, &handle)
+            .sanitize_round_sinks(&vals, &mut per_report(&handle, 2))
             .unwrap();
         drop(handle);
         let want = ref_pipe.finish_round().unwrap();
@@ -58,7 +80,7 @@ fn batched_round_equals_per_report_round_for_every_method() {
                 let mut pipe =
                     IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).unwrap();
                 let handle = pipe.handle();
-                p.sanitize_round_batched(&vals, workers, &handle, batch)
+                p.sanitize_round_sinks(&vals, &mut batching(&handle, workers, batch))
                     .unwrap();
                 drop(handle);
                 let got = pipe.finish_round().unwrap();
@@ -81,7 +103,8 @@ fn batched_assignments_equal_per_report_round() {
     let mut a = pool(Method::LOsue);
     let mut pipe_a = IngestPipeline::for_method(Method::LOsue, K, EPS_INF, EPS_FIRST, 2).unwrap();
     let ha = pipe_a.handle();
-    a.sanitize_round_per_report(&vals, 2, &ha).unwrap();
+    a.sanitize_round_sinks(&vals, &mut per_report(&ha, 2))
+        .unwrap();
     drop(ha);
     let want = pipe_a.finish_round().unwrap();
 
@@ -90,7 +113,7 @@ fn batched_assignments_equal_per_report_round() {
         let mut pipe_b =
             IngestPipeline::for_method(Method::LOsue, K, EPS_INF, EPS_FIRST, 3).unwrap();
         let hb = pipe_b.handle();
-        b.sanitize_assignments_batched(&dense, 4, &hb, batch)
+        b.sanitize_assignments(&dense, &mut batching(&hb, 4, batch))
             .unwrap();
         drop(hb);
         let got = pipe_b.finish_round().unwrap();
@@ -112,7 +135,7 @@ fn mid_batch_collector_resume_is_lossless() {
     let mut upipe = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 1).unwrap();
     let uh = upipe.handle();
     uninterrupted
-        .sanitize_round_batched(&vals, 1, &uh, 16)
+        .sanitize_round_sinks(&vals, &mut batching(&uh, 1, 16))
         .unwrap();
     drop(uh);
     let want = upipe.finish_round().unwrap();

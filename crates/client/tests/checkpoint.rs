@@ -10,7 +10,7 @@
 //!   built with a different seed, method, or population.
 
 use ldp_client::{ClientConfig, ClientPool, ClientStore, ClientStoreError};
-use ldp_ingest::{IngestPipeline, ShardStore};
+use ldp_ingest::{BatchSubmitter, IngestHandle, IngestPipeline, ShardStore, DEFAULT_BATCH_REPORTS};
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::Method;
 use proptest::prelude::*;
@@ -47,6 +47,13 @@ fn pool(method: Method, seed: u64, n: usize) -> ClientPool {
     ClientPool::new(cfg, seed, n).unwrap()
 }
 
+/// `workers` default-size batching sinks over `handle`.
+fn batching(handle: &IngestHandle, workers: usize) -> Vec<BatchSubmitter> {
+    (0..workers)
+        .map(|_| handle.batching(DEFAULT_BATCH_REPORTS))
+        .collect()
+}
+
 fn values(n: usize, round: u64, seed: u64) -> Vec<u64> {
     let mut rng = derive_rng(seed, 0xC0DE + round);
     (0..n).map(|_| uniform_u64(&mut rng, K)).collect()
@@ -77,7 +84,7 @@ proptest! {
             IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 2).expect("valid");
         let assigns0: Vec<(usize, u64)> = vals0.iter().copied().enumerate().collect();
         let h = ref_pipe.handle();
-        ref_pool.sanitize_assignments(&assigns0, 2, &h).expect("sanitize");
+        ref_pool.sanitize_assignments(&assigns0, &mut batching(&h, 2)).expect("sanitize");
         drop(h);
         let want_round0 = ref_pipe.finish_round().expect("alive");
         let h = ref_pipe.handle();
@@ -92,7 +99,7 @@ proptest! {
             IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).expect("valid");
         let h = crash_pipe.handle();
         crash_pool
-            .sanitize_assignments(&assigns0[..mid], workers, &h)
+            .sanitize_assignments(&assigns0[..mid], &mut batching(&h, workers))
             .expect("sanitize");
         drop(h);
         let client_path = scratch_path("dual_client");
@@ -121,7 +128,7 @@ proptest! {
 
         let h = resumed_pipe.handle();
         resumed_pool
-            .sanitize_assignments(&assigns0[mid..], workers, &h)
+            .sanitize_assignments(&assigns0[mid..], &mut batching(&h, workers))
             .expect("sanitize");
         drop(h);
         let got_round0 = resumed_pipe.finish_round().expect("alive");

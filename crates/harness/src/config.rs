@@ -93,25 +93,12 @@ impl Default for RunnerConfig {
 /// Parses a method name: either the paper's display name
 /// (`BiLOLOHA`, `L-OSUE`, …) or the CLI's lowercase alias.
 pub fn parse_method(name: &str) -> Result<Method, HarnessError> {
-    let lower = name.trim().to_ascii_lowercase();
-    let method = match lower.as_str() {
-        "rappor" | "l-sue" => Method::Rappor,
-        "l-osue" => Method::LOsue,
-        "l-oue" => Method::LOue,
-        "l-soue" => Method::LSoue,
-        "l-grr" => Method::LGrr,
-        "biloloha" => Method::BiLoloha,
-        "ololoha" => Method::OLoloha,
-        "1bitflip" | "1bitflippm" => Method::OneBitFlip,
-        "bbitflip" | "bbitflippm" => Method::BBitFlip,
-        _ => {
-            return Err(HarnessError::Config(format!(
-                "unknown method `{name}` (rappor, l-osue, l-oue, l-soue, l-grr, biloloha, \
-                 ololoha, 1bitflip, bbitflip)"
-            )))
-        }
-    };
-    Ok(method)
+    Method::from_name(name.trim()).ok_or_else(|| {
+        HarnessError::Config(format!(
+            "unknown method `{name}` (rappor, l-osue, l-oue, l-soue, l-grr, biloloha, \
+             ololoha, 1bitflip, bbitflip)"
+        ))
+    })
 }
 
 fn parse_list<T>(
@@ -437,6 +424,8 @@ mod tests {
         assert_eq!(parse_method("BiLOLOHA").unwrap(), Method::BiLoloha);
         assert_eq!(parse_method("l-grr").unwrap(), Method::LGrr);
         assert_eq!(parse_method("bBitFlipPM").unwrap(), Method::BBitFlip);
+        assert_eq!(parse_method("  l-sue ").unwrap(), Method::Rappor);
+        assert_eq!(parse_method("1BitFlipPM").unwrap(), Method::OneBitFlip);
         assert!(parse_method("quantum").is_err());
     }
 }

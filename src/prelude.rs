@@ -67,7 +67,7 @@ pub use ldp_datasets::{
     empirical_histogram, paper_datasets, scaled_datasets, AdultLikeDataset, DatasetSpec,
     FolkLikeDataset, SynDataset,
 };
-pub use ldp_sim::{run_experiment, run_experiment_piped, ExperimentConfig, RunMetrics};
+pub use ldp_sim::{run_experiment, ExperimentConfig, RunMetrics};
 
 // The resumable experiment harness (sweeps, checkpoints, perf trajectory).
 pub use ldp_harness::{cell_seed, CellResult, ExperimentRunner, RunnerConfig};

@@ -2,7 +2,7 @@
 //! full pipeline must respect the protocol invariants.
 
 use loloha_suite::datasets::SynDataset;
-use loloha_suite::sim::{run_experiment, run_experiment_piped, ExperimentConfig, Method};
+use loloha_suite::sim::{run_experiment, ExperimentConfig, Method};
 use proptest::prelude::*;
 
 fn arb_method() -> impl Strategy<Value = Method> {
@@ -114,46 +114,6 @@ proptest! {
         }
     }
 
-    /// Collecting through the concurrent `ldp_ingest` pipeline is
-    /// bit-identical to the direct shard-filling engine path, for every
-    /// method and worker count (the subsystem's determinism contract at
-    /// the whole-system level).
-    #[test]
-    fn piped_collection_is_bit_identical_to_direct(
-        method in arb_method(),
-        eps_inf in 0.4f64..4.0,
-        k in 4u64..24,
-        seed in any::<u64>(),
-    ) {
-        let ds = SynDataset::new(k, 180, 3, 0.3);
-        let base = ExperimentConfig::new(method, eps_inf, 0.3, seed).expect("valid");
-        let reference = match run_experiment(&ds, &base.with_threads(1)) {
-            Ok(m) => m,
-            Err(_) => return Ok(()), // infeasible cells covered elsewhere
-        };
-        // {1, 4} are pinned per-method in the engine and ingest suites;
-        // the remaining counts keep tier-1 wall time in budget here.
-        for workers in [2usize, 8] {
-            let m = run_experiment_piped(&ds, &base.with_threads(workers)).expect("runnable");
-            prop_assert_eq!(
-                reference.mse_avg.to_bits(), m.mse_avg.to_bits(),
-                "{:?} piped mse differs at {} workers", method, workers
-            );
-            prop_assert_eq!(
-                reference.eps_avg.to_bits(), m.eps_avg.to_bits(),
-                "{:?} piped eps_avg differs at {} workers", method, workers
-            );
-            prop_assert_eq!(
-                reference.eps_max.to_bits(), m.eps_max.to_bits(),
-                "{:?} piped eps_max differs at {} workers", method, workers
-            );
-            prop_assert_eq!(
-                reference.distinct_avg.to_bits(), m.distinct_avg.to_bits(),
-                "{:?} piped distinct_avg differs at {} workers", method, workers
-            );
-        }
-    }
-
     /// The privacy loss never decreases when the stream runs longer.
     #[test]
     fn privacy_loss_is_monotone_in_tau(
@@ -205,7 +165,10 @@ fn dual_checkpoint_resume_is_bit_identical_at_system_level() {
         let mut pool = ClientPool::new(cfg, seed, n).unwrap();
         let pipe = IngestPipeline::for_method(method, k, 2.0, 1.0, 3).unwrap();
         let h = pipe.handle();
-        pool.sanitize_assignments(&assigns[..mid], 3, &h).unwrap();
+        let mut sinks: Vec<_> = (0..3).map(|_| h.batching(DEFAULT_BATCH_REPORTS)).collect();
+        pool.sanitize_assignments(&assigns[..mid], &mut sinks)
+            .unwrap();
+        drop(sinks);
         drop(h);
         ClientStore::new(&client_path)
             .save(&pool.checkpoint())
@@ -223,7 +186,10 @@ fn dual_checkpoint_resume_is_bit_identical_at_system_level() {
         pipe.restore(&ShardStore::new(&shard_path).load().unwrap())
             .unwrap();
         let h = pipe.handle();
-        pool.sanitize_assignments(&assigns[mid..], 4, &h).unwrap();
+        let mut sinks: Vec<_> = (0..4).map(|_| h.batching(DEFAULT_BATCH_REPORTS)).collect();
+        pool.sanitize_assignments(&assigns[mid..], &mut sinks)
+            .unwrap();
+        drop(sinks);
         drop(h);
         let got = pipe.finish_round().unwrap();
 
