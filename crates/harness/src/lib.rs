@@ -19,7 +19,6 @@ pub mod bench;
 pub mod checkpoint;
 pub mod config;
 pub mod grid;
-pub mod json;
 pub mod runner;
 pub mod seed;
 
@@ -27,7 +26,6 @@ pub use bench::{measure_method, measure_net_ingest, MethodThroughput, NetIngest,
 pub use checkpoint::{load_progress, save_progress, CellMetrics, SweepProgress};
 pub use config::{parse_method, RunnerConfig};
 pub use grid::{run_cell, CellResult};
-pub use json::Json;
 pub use runner::{
     validate_bench, validate_bench_str, ExperimentRunner, RunOutcome, SweepOutcome, BENCH_SCHEMA,
 };

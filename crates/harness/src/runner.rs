@@ -22,8 +22,8 @@ use crate::bench::{measure_method, measure_net_ingest, MethodThroughput, NetInge
 use crate::checkpoint::{load_progress, save_progress, CellMetrics, SweepProgress};
 use crate::config::RunnerConfig;
 use crate::grid::{run_cell, CellResult};
-use crate::json::{parse, Json};
 use crate::HarnessError;
+use ldp_obs::json::{parse, Json};
 use ldp_sim::{Method, Summary};
 use std::path::PathBuf;
 
@@ -229,7 +229,7 @@ impl ExperimentRunner {
         net: Option<&[NetIngest]>,
     ) -> Json {
         let cfg = &self.cfg;
-        let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
+        let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
         let config = Json::Obj(vec![
             ("name".into(), Json::Str(cfg.name.clone())),
             (
@@ -253,15 +253,15 @@ impl ExperimentRunner {
                 "alphas".into(),
                 Json::Arr(cfg.alphas.iter().map(|&a| Json::Num(a)).collect()),
             ),
-            ("runs".into(), Json::Num(cfg.runs as f64)),
+            ("runs".into(), Json::U64(cfg.runs as u64)),
             ("n_frac".into(), Json::Num(cfg.n_frac)),
             ("tau_frac".into(), Json::Num(cfg.tau_frac)),
             // u64 seeds can exceed f64's integer range; a decimal string
             // is lossless.
             ("seed".into(), Json::Str(cfg.seed.to_string())),
             ("pair_methods".into(), Json::Bool(cfg.pair_methods)),
-            ("bench_users".into(), Json::Num(cfg.bench_users as f64)),
-            ("bench_samples".into(), Json::Num(cfg.bench_samples as f64)),
+            ("bench_users".into(), Json::U64(cfg.bench_users as u64)),
+            ("bench_samples".into(), Json::U64(cfg.bench_samples as u64)),
             ("net_ingest".into(), Json::Bool(cfg.net_ingest)),
         ]);
         let throughput = Json::Arr(
@@ -277,28 +277,13 @@ impl ExperimentRunner {
                         (
                             "obs".into(),
                             Json::Obj(vec![
-                                (
-                                    "reports_routed".into(),
-                                    Json::Num(t.obs.reports_routed as f64),
-                                ),
-                                ("send_blocked".into(), Json::Num(t.obs.send_blocked as f64)),
-                                (
-                                    "send_blocked_ns".into(),
-                                    Json::Num(t.obs.send_blocked_ns as f64),
-                                ),
-                                (
-                                    "batches_flushed".into(),
-                                    Json::Num(t.obs.batches_flushed as f64),
-                                ),
-                                (
-                                    "batched_reports".into(),
-                                    Json::Num(t.obs.batched_reports as f64),
-                                ),
-                                ("bufpool_hits".into(), Json::Num(t.obs.bufpool_hits as f64)),
-                                (
-                                    "bufpool_misses".into(),
-                                    Json::Num(t.obs.bufpool_misses as f64),
-                                ),
+                                ("reports_routed".into(), Json::U64(t.obs.reports_routed)),
+                                ("send_blocked".into(), Json::U64(t.obs.send_blocked)),
+                                ("send_blocked_ns".into(), Json::U64(t.obs.send_blocked_ns)),
+                                ("batches_flushed".into(), Json::U64(t.obs.batches_flushed)),
+                                ("batched_reports".into(), Json::U64(t.obs.batched_reports)),
+                                ("bufpool_hits".into(), Json::U64(t.obs.bufpool_hits)),
+                                ("bufpool_misses".into(), Json::U64(t.obs.bufpool_misses)),
                                 ("overhead_pct".into(), Json::Num(t.obs_overhead_pct())),
                             ]),
                         ),
@@ -313,14 +298,11 @@ impl ExperimentRunner {
         );
         let accuracy = Json::Arr(cells.iter().map(cell_json).collect());
         Json::Obj(vec![
-            ("schema".into(), Json::Num(f64::from(BENCH_SCHEMA))),
+            ("schema".into(), Json::U64(u64::from(BENCH_SCHEMA))),
             ("suite".into(), Json::Str("loloha".into())),
             ("host".into(), Json::Str(cfg.host.clone())),
-            ("pr".into(), Json::Num(f64::from(cfg.pr))),
-            (
-                "hardware_threads".into(),
-                Json::Num(hardware_threads as f64),
-            ),
+            ("pr".into(), Json::U64(u64::from(cfg.pr))),
+            ("hardware_threads".into(), Json::U64(hardware_threads)),
             ("config".into(), config),
             ("throughput".into(), throughput),
             ("accuracy".into(), accuracy),
@@ -330,11 +312,11 @@ impl ExperimentRunner {
 
 fn net_json(n: &NetIngest) -> Json {
     Json::Obj(vec![
-        ("users".into(), Json::Num(n.users as f64)),
-        ("rounds".into(), Json::Num(n.rounds as f64)),
-        ("frames".into(), Json::Num(n.frames as f64)),
-        ("reports".into(), Json::Num(n.reports as f64)),
-        ("retries".into(), Json::Num(n.retries as f64)),
+        ("users".into(), Json::U64(n.users as u64)),
+        ("rounds".into(), Json::U64(n.rounds)),
+        ("frames".into(), Json::U64(n.frames)),
+        ("reports".into(), Json::U64(n.reports)),
+        ("retries".into(), Json::U64(n.retries)),
         ("elapsed_ns".into(), Json::Num(n.elapsed.as_nanos() as f64)),
         ("reports_per_sec".into(), Json::Num(n.reports_per_sec)),
     ])
@@ -345,10 +327,10 @@ fn path_json(p: &PathStats) -> Json {
     Json::Obj(vec![
         (
             "reports_per_iter".into(),
-            Json::Num(p.reports_per_iter as f64),
+            Json::U64(p.reports_per_iter as u64),
         ),
-        ("iters".into(), Json::Num(p.stats.iters as f64)),
-        ("warmup_iters".into(), Json::Num(p.warmup_iters as f64)),
+        ("iters".into(), Json::U64(p.stats.iters as u64)),
+        ("warmup_iters".into(), Json::U64(p.warmup_iters as u64)),
         ("min_ns".into(), ns(p.stats.min)),
         ("median_ns".into(), ns(p.stats.median)),
         ("mean_ns".into(), ns(p.stats.mean)),
@@ -376,7 +358,7 @@ fn cell_json(c: &CellResult) -> Json {
         ("method".into(), Json::Str(c.method.name().to_string())),
         ("eps_inf".into(), Json::Num(c.eps_inf)),
         ("alpha".into(), Json::Num(c.alpha)),
-        ("runs".into(), Json::Num(c.mse.runs as f64)),
+        ("runs".into(), Json::U64(c.mse.runs as u64)),
         ("mse_mean".into(), mse_mean),
         ("mse_std".into(), mse_std),
         ("eps_avg_mean".into(), eps_mean),
@@ -386,7 +368,7 @@ fn cell_json(c: &CellResult) -> Json {
         (
             "reduced_domain".into(),
             c.reduced_domain
-                .map_or(Json::Null, |rd| Json::Num(f64::from(rd))),
+                .map_or(Json::Null, |rd| Json::U64(u64::from(rd))),
         ),
     ])
 }
@@ -412,7 +394,7 @@ pub fn validate_bench(doc: &Json) -> Result<(), String> {
     };
     let num_or_null = |obj: &Json, key: &str| -> Result<(), String> {
         match need(obj, key)? {
-            Json::Num(_) | Json::Null => Ok(()),
+            Json::U64(_) | Json::Num(_) | Json::Null => Ok(()),
             _ => Err(format!("`{key}` must be a number or null")),
         }
     };

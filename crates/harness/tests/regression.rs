@@ -7,7 +7,7 @@
 //! sharing a host label were produced on comparable hardware — a >30%
 //! drop is an actual regression (or a mislabeled host), not noise.
 
-use ldp_harness::json::{parse, Json};
+use ldp_obs::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 

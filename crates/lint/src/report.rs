@@ -1,5 +1,6 @@
 //! Findings, severities, suppression accounting, and output rendering.
 
+use ldp_obs::json::Json;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -132,74 +133,51 @@ impl Report {
     }
 
     /// Machine-readable rendering: one JSON object, findings and
-    /// suppressions as arrays. Hand-rolled serialization (no deps); every
-    /// string passes through [`json_escape`].
+    /// suppressions as arrays, through the workspace's shared emitter.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-                if i == 0 { "" } else { "," },
-                f.rule,
-                f.severity.as_str(),
-                json_escape(&f.file),
-                f.line,
-                json_escape(&f.message)
-            );
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"suppressions\": [");
-        for (i, a) in self.allows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"suppressed\": {}, \"reason\": \"{}\"}}",
-                if i == 0 { "" } else { "," },
-                json_escape(&a.rule),
-                json_escape(&a.file),
-                a.line,
-                a.suppressed,
-                json_escape(&a.reason)
-            );
-        }
-        if !self.allows.is_empty() {
-            out.push_str("\n  ");
-        }
-        let _ = write!(
-            out,
-            "],\n  \"files_scanned\": {},\n  \"errors\": {},\n  \"warnings\": {}\n}}\n",
-            self.files_scanned,
-            self.error_count(),
-            self.warn_count()
-        );
-        out
+        let text = |s: &str| Json::Str(s.to_string());
+        let num = |n: usize| Json::U64(n as u64);
+        let findings = self
+            .findings
+            .iter()
+            .map(|f| {
+                Json::Obj(vec![
+                    ("rule".into(), text(f.rule)),
+                    ("severity".into(), text(f.severity.as_str())),
+                    ("file".into(), text(&f.file)),
+                    ("line".into(), Json::U64(f.line.into())),
+                    ("message".into(), text(&f.message)),
+                ])
+            })
+            .collect();
+        let suppressions = self
+            .allows
+            .iter()
+            .map(|a| {
+                Json::Obj(vec![
+                    ("rule".into(), text(&a.rule)),
+                    ("file".into(), text(&a.file)),
+                    ("line".into(), Json::U64(a.line.into())),
+                    ("suppressed".into(), num(a.suppressed)),
+                    ("reason".into(), text(&a.reason)),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("findings".into(), Json::Arr(findings)),
+            ("suppressions".into(), Json::Arr(suppressions)),
+            ("files_scanned".into(), num(self.files_scanned)),
+            ("errors".into(), num(self.error_count())),
+            ("warnings".into(), num(self.warn_count())),
+        ])
+        .to_pretty()
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_obs::json::parse;
 
     fn sample() -> Report {
         Report {
@@ -250,13 +228,16 @@ mod tests {
     #[test]
     fn json_is_well_formed_and_escaped() {
         let mut r = sample();
-        r.findings[0].message = "quote \" and \\ back".into();
-        let j = r.render_json();
-        assert!(j.contains("quote \\\" and \\\\ back"));
-        assert!(j.contains("\"errors\": 1"));
-        // Balanced braces/brackets as a cheap structural check.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let message = "quote \" and \\ back\n\u{1}";
+        r.findings[0].message = message.into();
+        let doc = parse(&r.render_json()).expect("render_json emits valid JSON");
+        let first = &doc.get("findings").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(first.get("rule"), Some(&Json::Str("P001".into())));
+        assert_eq!(first.get("message"), Some(&Json::Str(message.into())));
+        assert_eq!(first.get("line"), Some(&Json::U64(10)));
+        assert_eq!(doc.get("errors"), Some(&Json::U64(r.error_count() as u64)));
+        let allow = &doc.get("suppressions").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(allow.get("reason"), Some(&Json::Str("clamped".into())));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! accounting — not rule functions in isolation.
 
 use ldp_lint::{run_check, Report, Severity};
+use ldp_obs::json::{parse, Json};
 use std::path::{Path, PathBuf};
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -149,11 +150,13 @@ fn reasoned_suppression_is_counted_and_passes() {
 #[test]
 fn json_output_round_trips_the_fixture_findings() {
     let r = check("p001_bad");
-    let json = r.render_json();
-    assert!(json.contains("\"rule\": \"P001\""));
-    assert!(json.contains("\"severity\": \"error\""));
-    assert!(json.contains("crates/core/src/lib.rs"));
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    let doc = parse(&r.render_json()).expect("render_json emits valid JSON");
+    let first = &doc.get("findings").and_then(Json::as_arr).unwrap()[0];
+    assert_eq!(first.get("rule"), Some(&Json::Str("P001".into())));
+    assert_eq!(first.get("severity"), Some(&Json::Str("error".into())));
+    let file = Json::Str("crates/core/src/lib.rs".into());
+    assert_eq!(first.get("file"), Some(&file));
+    assert_eq!(doc.get("errors"), Some(&Json::U64(r.error_count() as u64)));
 }
 
 #[test]

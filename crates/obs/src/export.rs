@@ -464,6 +464,16 @@ mod tests {
                 "kind",
             ),
             (good.replace("\"count\": 5", "\"count\": 6"), "bucket sum"),
+            // Snapshots are integer-only: the parser reads these as
+            // numbers or booleans, and the validator rejects them.
+            (good.replace("\"count\": 5", "\"count\": -5"), "negative"),
+            (good.replace("\"count\": 5", "\"count\": 5.5"), "fraction"),
+            (good.replace("\"count\": 5", "\"count\": 5e0"), "exponent"),
+            (good.replace("\"count\": 5", "\"count\": true"), "boolean"),
+            (
+                good.replace("\"schema\": 1", "\"schema\": 1.0"),
+                "float schema",
+            ),
         ] {
             assert!(validate_snapshot_str(&bad).is_err(), "{why} should fail");
         }

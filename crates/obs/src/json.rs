@@ -1,24 +1,39 @@
-//! A tiny deterministic JSON value for snapshot export and validation.
+//! The workspace's one JSON module: value, deterministic emitter and
+//! strict parser.
 //!
-//! `ldp_harness` already has a JSON module, but the dependency arrow runs
-//! the other way (the harness records pipeline metrics, so it depends on
-//! this crate) — the telemetry layer must stay dependency-free, hence its
-//! own, even smaller, subset. Every number in an observability snapshot
-//! is an unsigned integer (counts, sums, byte totals, nanoseconds), so
-//! the value type has a `U64` variant instead of `f64` and the emitted
-//! lexeme is exact: no float formatting is involved anywhere, which is
-//! half of the byte-identical export guarantee (the other half is sorted
-//! sample order).
+//! Every JSON document the workspace writes goes through here: the
+//! `ldp_obs` telemetry snapshot (`docs/OBS_FORMAT.md`), the harness's
+//! `BENCH_<host>_<pr>.json` trajectory (`docs/BENCH_FORMAT.md`) and the
+//! `ldp_lint --format json` report. The module lives in `ldp_obs` because
+//! that crate depends on nothing but std, so every other crate may use it.
+//!
+//! The emitter is a pure function of the value: objects are ordered
+//! `Vec`s (insertion order is emission order, never a hash order), a
+//! `U64` is written exactly, and a `Num` uses Rust's shortest-roundtrip
+//! `Display`, which never uses exponent notation. A non-finite `Num` has
+//! no JSON lexeme and is written as `null`. Since `Display` prints `2.0` as
+//! `2`, a `Num` holding a `u64` value reads back as a `U64`;
+//! [`Json::as_f64`] accepts both, so re-emitting a document this module
+//! wrote reproduces its bytes.
+//!
+//! The parser is strict recursive descent: no comments, no trailing
+//! commas, `\uXXXX` escapes limited to the BMP, and non-finite numbers
+//! (`1e999`) rejected. Callers that allow only integers (snapshots) read
+//! numbers through [`Json::as_u64`], so their validators enforce that.
 
 use std::fmt::Write as _;
 
-/// One JSON value. Objects preserve insertion order; numbers are `u64`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One JSON value. Objects preserve insertion order.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
-    /// An unsigned integer (the only number shape a snapshot contains).
+    /// `true` / `false`.
+    Bool(bool),
+    /// An unsigned integer, written and read exactly.
     U64(u64),
+    /// Any other number (non-finite values emit as `null`).
+    Num(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -40,6 +55,15 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::U64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The number inside, if this is a `U64` or a `Num`.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::U64(v) => Some(*v as f64),
+            Json::Num(v) => Some(*v),
             _ => None,
         }
     }
@@ -80,9 +104,14 @@ impl Json {
     fn emit(&self, out: &mut String, indent: usize) {
         match self {
             Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::U64(v) => {
                 let _ = write!(out, "{v}");
             }
+            Json::Num(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
+            }
+            Json::Num(_) => out.push_str("null"),
             Json::Str(s) => emit_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -150,9 +179,7 @@ fn emit_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document over the snapshot subset: the whole input must
-/// be one value, and numbers must be unsigned integers (a snapshot never
-/// contains signs, fractions or exponents).
+/// Parses a JSON document; the whole input must be one value.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
@@ -212,26 +239,37 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
-            Some(b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
     }
 
+    /// An integer lexeme that fits in `u64` reads as `U64`; every other
+    /// finite number reads as `Num`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+        while self
+            .peek()
+            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
+        {
             self.pos += 1;
         }
-        // A sign, fraction or exponent would stop the digit scan and then
-        // fail as a trailing/unexpected byte — snapshots are integer-only.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        let v: u64 = text
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number bytes");
+        if let Ok(v) = text.parse::<u64>() {
+            return Ok(Json::U64(v));
+        }
+        let v: f64 = text
             .parse()
-            .map_err(|_| format!("invalid integer `{text}` at offset {start}"))?;
-        Ok(Json::U64(v))
+            .map_err(|_| format!("invalid number `{text}` at offset {start}"))?;
+        if !v.is_finite() {
+            return Err(format!("non-finite number `{text}` at offset {start}"));
+        }
+        Ok(Json::Num(v))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -344,9 +382,15 @@ mod tests {
             ("schema".into(), Json::U64(1)),
             ("name".into(), Json::Str("sm\"oke\n".into())),
             ("gap".into(), Json::Null),
+            ("flag".into(), Json::Bool(true)),
             (
                 "items".into(),
-                Json::Arr(vec![Json::U64(0), Json::U64(u64::MAX)]),
+                Json::Arr(vec![
+                    Json::U64(0),
+                    Json::U64(u64::MAX),
+                    Json::Num(-2.5),
+                    Json::Str("x".into()),
+                ]),
             ),
             ("empty".into(), Json::Obj(vec![])),
         ])
@@ -356,6 +400,29 @@ mod tests {
     fn emit_parse_roundtrip_is_lossless() {
         let text = sample().to_pretty();
         assert_eq!(parse(&text).unwrap(), sample());
+        assert_eq!(parse(&text).unwrap().to_pretty(), text);
+    }
+
+    #[test]
+    fn emit_parse_roundtrip_preserves_structure() {
+        // NaN is emitted as null and an integral `Num` comes back as a
+        // `U64`; everything else survives as written.
+        let doc = Json::Obj(vec![
+            ("nan".into(), Json::Num(f64::NAN)),
+            ("two".into(), Json::Num(2.0)),
+            ("rate".into(), Json::Num(0.125)),
+        ]);
+        let text = doc.to_pretty();
+        assert_eq!(
+            text,
+            "{\n  \"nan\": null,\n  \"two\": 2,\n  \"rate\": 0.125\n}\n"
+        );
+        let back = parse(&text).unwrap();
+        assert_eq!(back.get("nan"), Some(&Json::Null));
+        assert_eq!(back.get("two"), Some(&Json::U64(2)));
+        assert_eq!(back.get("two").unwrap().as_f64(), Some(2.0));
+        assert_eq!(back.get("rate"), Some(&Json::Num(0.125)));
+        assert_eq!(back.get("empty"), None);
     }
 
     #[test]
@@ -367,11 +434,16 @@ mod tests {
     fn u64_max_survives_exactly() {
         let text = Json::U64(u64::MAX).to_pretty();
         assert_eq!(text, "18446744073709551615\n");
-        assert_eq!(parse(&text).unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(parse(&text).unwrap(), Json::U64(u64::MAX));
+        // One past the boundary is no longer a `u64` lexeme.
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            Json::Num(18446744073709551616.0)
+        );
     }
 
     #[test]
-    fn parser_rejects_non_snapshot_numbers_and_malformed_docs() {
+    fn parser_rejects_malformed_documents() {
         for bad in [
             "",
             "{",
@@ -380,13 +452,46 @@ mod tests {
             "{\"a\":1} trailing",
             "\"unterminated",
             "nul",
-            "-1",
-            "1.5",
-            "1e3",
-            "true",
+            "1e999",
+            "-",
+            "1.2.3",
             "{\"a\" 1}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parser_rejects_non_snapshot_numbers_and_malformed_docs() {
+        // Malformed documents fail in the parser itself.
+        for bad in ["", "{", "[1,]", "{\"a\":}", "\"unterminated", "{\"a\" 1}"] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+        // Signed, fractional, exponent and boolean lexemes parse, but are
+        // not snapshot integers: `as_u64` refuses them, which is what the
+        // snapshot validator reads numbers through.
+        for non_snapshot in ["-1", "1.5", "1e3", "2.0", "true"] {
+            let v = parse(non_snapshot).unwrap();
+            assert_eq!(
+                v.as_u64(),
+                None,
+                "{non_snapshot:?} is not a snapshot number"
+            );
+        }
+        assert_eq!(parse("7").unwrap().as_u64(), Some(7));
+    }
+
+    #[test]
+    fn parser_handles_escapes_and_numbers() {
+        let v = parse(r#"{"s": "aA\n\\\u0001", "n": -1.5e2, "i": -1, "f": false}"#).unwrap();
+        assert_eq!(v.get("s").unwrap().as_str(), Some("aA\n\\\u{1}"));
+        assert_eq!(v.get("n"), Some(&Json::Num(-150.0)));
+        assert_eq!(v.get("i"), Some(&Json::Num(-1.0)));
+        assert_eq!(v.get("f"), Some(&Json::Bool(false)));
+        // Control characters without a short escape use `\u00XX`.
+        assert_eq!(
+            Json::Str("q\"\\\t\u{1}".into()).to_pretty(),
+            "\"q\\\"\\\\\\t\\u0001\"\n"
+        );
     }
 }

@@ -245,8 +245,7 @@ impl ShardedAggregator {
                 } else {
                     LolohaParams::optimal(eps_inf, eps_first)?
                 };
-                let est = Estimator::Loloha(LolohaServer::new(k, params)?);
-                (est, k as usize, Some(params.g()), true, Some(params), None)
+                return Self::for_loloha_obs(k, params, shards, obs);
             }
             Method::OneBitFlip | Method::BBitFlip => {
                 let b = dbit_buckets(k);
@@ -377,32 +376,7 @@ impl ShardedAggregator {
     /// Merges the shard partials into one histogram. An index-wise sum, so
     /// the result is independent of the shard count and push order.
     pub fn merged_counts(&self) -> Vec<u64> {
-        let _timed = Span::enter(&self.obs.merge_ns);
-        let mut merged = vec![0u64; self.dim];
-        for shard in &self.shards {
-            for (m, &c) in merged.iter_mut().zip(&shard.counts) {
-                *m += c;
-            }
-        }
-        merged
-    }
-
-    fn merge_and_estimate(&mut self) -> AggregateSnapshot {
-        let counts = self.merged_counts();
-        let reports = self.round_reports();
-        self.obs.support_total.set(counts.iter().sum());
-        let estimate = if reports == 0 {
-            vec![0.0; self.dim]
-        } else {
-            let _timed = Span::enter(&self.obs.estimate_ns);
-            self.estimator.ingest_counts(&counts, reports);
-            self.estimator.estimate_and_reset()
-        };
-        AggregateSnapshot {
-            counts,
-            reports,
-            estimate,
-        }
+        merge_shards(&self.shards, self.dim, &self.obs)
     }
 
     /// Non-destructive streaming view: merges and estimates everything
@@ -410,28 +384,18 @@ impl ShardedAggregator {
     /// can continue. (The backing estimator is stateless between rounds —
     /// it resets after every estimate — so a clone serves the snapshot.)
     pub fn snapshot(&self) -> AggregateSnapshot {
-        let counts = self.merged_counts();
-        let reports = self.round_reports();
-        self.obs.support_total.set(counts.iter().sum());
-        let estimate = if reports == 0 {
-            vec![0.0; self.dim]
-        } else {
-            let _timed = Span::enter(&self.obs.estimate_ns);
-            let mut estimator = self.estimator.clone();
-            estimator.ingest_counts(&counts, reports);
-            estimator.estimate_and_reset()
-        };
-        AggregateSnapshot {
-            counts,
-            reports,
-            estimate,
-        }
+        merge_and_estimate(
+            &self.shards,
+            self.dim,
+            &self.obs,
+            &mut self.estimator.clone(),
+        )
     }
 
     /// Closes the round: merges, estimates, and resets every shard for the
     /// next round.
     pub fn finish_round(&mut self) -> AggregateSnapshot {
-        let out = self.merge_and_estimate();
+        let out = merge_and_estimate(&self.shards, self.dim, &self.obs, &mut self.estimator);
         self.obs.rounds.inc();
         self.begin_round();
         out
@@ -446,6 +410,46 @@ impl ShardedAggregator {
             self.push_batch(i % shards, counts, reports);
         }
         self.finish_round()
+    }
+}
+
+/// Index-wise sum of the shard partials (see
+/// [`ShardedAggregator::merged_counts`]).
+fn merge_shards(shards: &[Shard], dim: usize, obs: &AggObs) -> Vec<u64> {
+    let _timed = Span::enter(&obs.merge_ns);
+    let mut merged = vec![0u64; dim];
+    for shard in shards {
+        for (m, &c) in merged.iter_mut().zip(&shard.counts) {
+            *m += c;
+        }
+    }
+    merged
+}
+
+/// The one merge-and-estimate body behind [`ShardedAggregator::snapshot`]
+/// and [`ShardedAggregator::finish_round`]. The field-wise arguments let
+/// `finish_round` lend its own estimator (which resets after estimating)
+/// while `snapshot` lends a clone.
+fn merge_and_estimate(
+    shards: &[Shard],
+    dim: usize,
+    obs: &AggObs,
+    estimator: &mut Estimator,
+) -> AggregateSnapshot {
+    let counts = merge_shards(shards, dim, obs);
+    let reports = shards.iter().map(Shard::reports).sum();
+    obs.support_total.set(counts.iter().sum());
+    let estimate = if reports == 0 {
+        vec![0.0; dim]
+    } else {
+        let _timed = Span::enter(&obs.estimate_ns);
+        estimator.ingest_counts(&counts, reports);
+        estimator.estimate_and_reset()
+    };
+    AggregateSnapshot {
+        counts,
+        reports,
+        estimate,
     }
 }
 
