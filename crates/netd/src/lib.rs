@@ -53,7 +53,8 @@ pub use loadgen::{
 };
 pub use proto::{
     config_fingerprint, decode_frame, encode_frame, read_frame, write_frame, Frame, CONTROL_WORKER,
-    MAX_FRAME_LEN, MAX_WIRE_DIM, MAX_WIRE_INDICES, MAX_WIRE_REPORTS, WIRE_MAGIC, WIRE_VERSION,
+    MAX_FRAME_LEN, MAX_WIRE_DIM, MAX_WIRE_INDICES, MAX_WIRE_REPORTS, MAX_WIRE_WORDS, WIRE_MAGIC,
+    WIRE_VERSION,
 };
 pub use signal::{install_term_handler, request_term, reset_term, term_requested};
 pub use store::{decode_net_checkpoint, encode_net_checkpoint, NetCheckpoint, NetStore};

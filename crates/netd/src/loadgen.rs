@@ -227,20 +227,27 @@ impl NetSink {
             return Ok(());
         }
         self.seq += 1;
-        let batch = std::mem::take(&mut self.batch);
         if self.seq <= self.resume_seq {
             // The daemon already applied this frame before it restarted;
             // regeneration keeps the RNG streams and sequence numbers
             // aligned, but resending would only earn a duplicate-ack.
+            self.batch.clear();
             return Ok(());
         }
-        let reports = u32::try_from(batch.report_count())
+        let reports = u32::try_from(self.batch.report_count())
             .map_err(|_| NetError::BadBatch("report count beyond u32"))?;
-        self.conn.send(&Frame::Submit {
+        let frame = Frame::Submit {
             seq: self.seq,
             key_base: self.key_base,
-            batch,
-        })?;
+            batch: std::mem::take(&mut self.batch),
+        };
+        let sent = self.conn.send(&frame);
+        // Keep the batch's buffers for the next frame.
+        if let Frame::Submit { mut batch, .. } = frame {
+            batch.clear();
+            self.batch = batch;
+        }
+        sent?;
         let _timed = Span::enter(&self.ack_wait_ns);
         match self.conn.recv()? {
             Some((_, Frame::Ack { seq, .. })) if seq == self.seq => {
@@ -291,11 +298,16 @@ impl ReportSink for NetSink {
         if self.batch.is_empty() {
             self.key_base = user;
         }
-        let mut indices = Vec::with_capacity(support.len());
-        for &index in support {
-            indices.push(u32::try_from(index).map_err(|_| NetError::BadBatch("index beyond u32"))?);
+        // Validate before packing, so a rejected report leaves nothing
+        // behind in the batch.
+        if support.iter().any(|&index| u32::try_from(index).is_err()) {
+            return Err(NetError::BadBatch("index beyond u32"));
         }
-        self.batch.push_report(indices);
+        self.batch.push_report(
+            support
+                .iter()
+                .map(|&index| u32::try_from(index).expect("validated above")),
+        );
         self.next_key = user + 1;
         Ok(())
     }

@@ -19,6 +19,14 @@
 //! checked against [`MAX_WIRE_REPORTS`]/[`MAX_WIRE_INDICES`] and the
 //! remaining payload length before the index buffers are allocated.
 //!
+//! A `Submit` body comes in two layouts (the layout byte after the
+//! counts): a *list* of `u32` indices, or a *bitmap* of one `words ×
+//! u64` row per report. [`encode_frame`] picks the bitmap exactly when
+//! every report is strictly increasing and the bitmap is the smaller
+//! body — dense supports (UE vectors, LOLOHA preimage sets) then cost
+//! `dim` bits instead of 32 bits per index — so the choice is a property
+//! of the batch and `decode_frame(encode_frame(f)) == f` always holds.
+//!
 //! The container fingerprint carries the [`config_fingerprint`] both
 //! sides derive from their own protocol configuration, so every frame —
 //! not just the handshake — pins the configuration it was produced
@@ -36,7 +44,7 @@ pub const WIRE_MAGIC: &[u8; 4] = b"LDNW";
 /// Current wire protocol version. A daemon speaks exactly one version;
 /// frames from the future are answered with a malformed-frame error so
 /// old daemons fail closed (see `docs/WIRE_FORMAT.md` §2).
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Hard cap on a frame body's length, enforced against the length
 /// prefix before any buffer is grown. Generous for the largest legal
@@ -50,6 +58,17 @@ pub const MAX_WIRE_REPORTS: u32 = 1 << 16;
 pub const MAX_WIRE_INDICES: u32 = 1 << 20;
 /// Largest estimate dimension a round-result frame may claim.
 pub const MAX_WIRE_DIM: u32 = 1 << 24;
+/// Widest bitmap row a bitmap-layout submit frame may claim: 2²⁶ words
+/// are 2³² bit positions, so every set bit names a `u32` index.
+pub const MAX_WIRE_WORDS: u32 = 1 << 26;
+
+/// `Submit` layout byte: `report_count × end u32 | index_count × index u32`.
+const LAYOUT_LIST: u8 = 0;
+/// `Submit` layout byte: `words u32 | report_count × words × u64`.
+const LAYOUT_BITMAP: u8 = 1;
+/// Bytes of a `Submit` payload before its body: `seq u64 | key_base u64
+/// | report_count u32 | index_count u32 | layout u8`.
+const SUBMIT_HEADER_LEN: usize = 8 + 8 + 4 + 4 + 1;
 
 /// The session id loadgen's control connection (round barriers and
 /// shutdown, never submits) identifies itself with.
@@ -188,8 +207,21 @@ pub fn config_fingerprint(method: Method, k: u64, dim: u64, eps_inf: f64, eps_fi
 
 /// Serializes one frame into a finished container body (length prefix
 /// not included — [`write_frame`] adds it when the body hits a stream).
+/// The writer is sized up front to the exact `Submit` and `RoundResult`
+/// payloads, so a large frame is never regrown.
 pub fn encode_frame(frame: &Frame, fingerprint: u64) -> Vec<u8> {
-    let mut w = CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, fingerprint);
+    let bitmap = match frame {
+        Frame::Submit { batch, .. } => Bitmap::of(batch),
+        _ => None,
+    };
+    let payload = match frame {
+        Frame::Submit { batch, .. } => {
+            SUBMIT_HEADER_LEN + bitmap.as_ref().map_or(list_len(batch), Bitmap::wire_len)
+        }
+        Frame::RoundResult { estimate, .. } => 8 + 8 + 4 + 8 * estimate.len(),
+        _ => 0,
+    };
+    let mut w = CodecWriter::with_capacity(WIRE_MAGIC, WIRE_VERSION, fingerprint, 1 + payload);
     w.put_u8(frame.kind());
     match frame {
         Frame::Hello {
@@ -221,11 +253,23 @@ pub fn encode_frame(frame: &Frame, fingerprint: u64) -> Vec<u8> {
             w.put_u64(*key_base);
             w.put_u32(u32::try_from(batch.report_count()).expect("report count fits u32"));
             w.put_u32(u32::try_from(batch.index_count()).expect("index count fits u32"));
-            for &end in batch.ends() {
-                w.put_u32(end);
-            }
-            for &index in batch.indices() {
-                w.put_u32(index);
+            match &bitmap {
+                Some(bitmap) => {
+                    w.put_u8(LAYOUT_BITMAP);
+                    w.put_u32(bitmap.words);
+                    for &word in &bitmap.rows {
+                        w.put_u64(word);
+                    }
+                }
+                None => {
+                    w.put_u8(LAYOUT_LIST);
+                    for &end in batch.ends() {
+                        w.put_u32(end);
+                    }
+                    for &index in batch.indices() {
+                        w.put_u32(index);
+                    }
+                }
             }
         }
         Frame::Ack {
@@ -262,6 +306,55 @@ pub fn encode_frame(frame: &Frame, fingerprint: u64) -> Vec<u8> {
         }
     }
     w.finish()
+}
+
+/// Body bytes of a list-layout `Submit`.
+fn list_len(batch: &ReportBatch) -> usize {
+    4 * (batch.report_count() + batch.index_count())
+}
+
+/// A `Submit` batch packed as bitmap rows: report `i`'s support is the
+/// set bits of `rows[i * words..(i + 1) * words]` (bit `b` of word `j`
+/// is index `64 j + b`).
+struct Bitmap {
+    words: u32,
+    rows: Vec<u64>,
+}
+
+impl Bitmap {
+    /// Packs `batch` as bitmap rows when that is legal (every report
+    /// strictly increasing) and smaller than the list body. The row
+    /// width comes from each report's last index, which is its largest
+    /// when the report is increasing; the single packing pass proves the
+    /// order and bails out to the list layout on the first violation.
+    fn of(batch: &ReportBatch) -> Option<Self> {
+        let top = batch.reports().filter_map(|report| report.last()).max()?;
+        let words = top / 64 + 1;
+        let row_len = usize::try_from(words).ok()?;
+        let cells = batch.report_count().checked_mul(row_len)?;
+        if 4 + cells.checked_mul(8)? >= list_len(batch) {
+            return None;
+        }
+        let mut rows = vec![0u64; cells];
+        for (row, report) in rows.chunks_exact_mut(row_len).zip(batch.reports()) {
+            // The smallest index the next one may take (u64, so the
+            // successor of u32::MAX does not wrap).
+            let mut floor = 0u64;
+            for &index in report {
+                if u64::from(index) < floor {
+                    return None;
+                }
+                *row.get_mut(usize::try_from(index / 64).ok()?)? |= 1 << (index % 64);
+                floor = u64::from(index) + 1;
+            }
+        }
+        Some(Self { words, rows })
+    }
+
+    /// Body bytes of the bitmap-layout `Submit`.
+    fn wire_len(&self) -> usize {
+        4 + 8 * self.rows.len()
+    }
 }
 
 /// Deserializes a frame body produced by [`encode_frame`], returning the
@@ -302,21 +395,11 @@ pub fn decode_frame(body: &[u8]) -> Result<(u64, Frame), NetError> {
                     indices: index_count,
                 });
             }
-            let claimed = 4usize * (report_count as usize + index_count as usize);
-            if claimed != r.remaining() {
-                return Err(NetError::BadBatch(
-                    "batch counts disagree with payload length",
-                ));
-            }
-            let mut ends = Vec::with_capacity(report_count as usize);
-            for _ in 0..report_count {
-                ends.push(r.get_u32()?);
-            }
-            let mut indices = Vec::with_capacity(index_count as usize);
-            for _ in 0..index_count {
-                indices.push(r.get_u32()?);
-            }
-            let batch = ReportBatch::from_parts(indices, ends).map_err(NetError::BadBatch)?;
+            let batch = match r.get_u8()? {
+                LAYOUT_LIST => get_list(&mut r, report_count, index_count)?,
+                LAYOUT_BITMAP => get_bitmap(&mut r, report_count, index_count)?,
+                _ => return Err(NetError::BadBatch("unknown submit layout")),
+            };
             Frame::Submit {
                 seq,
                 key_base,
@@ -370,6 +453,80 @@ pub fn decode_frame(body: &[u8]) -> Result<(u64, Frame), NetError> {
     };
     r.finish()?;
     Ok((fingerprint, frame))
+}
+
+/// Reads a list-layout `Submit` body whose counts are already capped.
+fn get_list(
+    r: &mut CodecReader<'_>,
+    report_count: u32,
+    index_count: u32,
+) -> Result<ReportBatch, NetError> {
+    let claimed = 4usize * (report_count as usize + index_count as usize);
+    if claimed != r.remaining() {
+        return Err(NetError::BadBatch(
+            "batch counts disagree with payload length",
+        ));
+    }
+    let mut ends = Vec::with_capacity(report_count as usize);
+    for _ in 0..report_count {
+        ends.push(r.get_u32()?);
+    }
+    let mut indices = Vec::with_capacity(index_count as usize);
+    for _ in 0..index_count {
+        indices.push(r.get_u32()?);
+    }
+    ReportBatch::from_parts(indices, ends).map_err(NetError::BadBatch)
+}
+
+/// Reads a bitmap-layout `Submit` body whose counts are already capped.
+/// The row width, the payload length and the summed popcount are all
+/// proven before the index buffer is sized from `index_count`.
+fn get_bitmap(
+    r: &mut CodecReader<'_>,
+    report_count: u32,
+    index_count: u32,
+) -> Result<ReportBatch, NetError> {
+    let words = r.get_u32()?;
+    if words == 0 || words > MAX_WIRE_WORDS {
+        return Err(NetError::BadBatch("bitmap width outside 1..=2^26 words"));
+    }
+    let row_bytes = u64::from(report_count)
+        .checked_mul(u64::from(words))
+        .and_then(|cells| cells.checked_mul(8));
+    if row_bytes != Some(r.remaining() as u64) {
+        return Err(NetError::BadBatch(
+            "batch counts disagree with payload length",
+        ));
+    }
+    let rows = r.take(r.remaining())?;
+    let mut popcount = 0u64;
+    let mut probe = CodecReader::raw(rows);
+    while probe.remaining() > 0 {
+        popcount += u64::from(probe.get_u64()?.count_ones());
+    }
+    if popcount != u64::from(index_count) {
+        return Err(NetError::BadBatch(
+            "bitmap popcount disagrees with index count",
+        ));
+    }
+    let mut indices = Vec::with_capacity(index_count as usize);
+    let mut ends = Vec::with_capacity(report_count as usize);
+    let mut bits = CodecReader::raw(rows);
+    for _ in 0..report_count {
+        for word in 0..words {
+            // word < 2^26, so 64 * word + 63 fits u32.
+            let mut set = bits.get_u64()?;
+            while set != 0 {
+                indices.push(64 * word + set.trailing_zeros());
+                set &= set - 1;
+            }
+        }
+        ends.push(
+            u32::try_from(indices.len())
+                .map_err(|_| NetError::BadBatch("index count beyond u32"))?,
+        );
+    }
+    ReportBatch::from_parts(indices, ends).map_err(NetError::BadBatch)
 }
 
 /// Writes one encoded body to a stream with its length prefix. The cap
@@ -429,6 +586,13 @@ pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<bool, NetErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_client::{ClientConfig, ClientPool, ReportSink};
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// Byte offset of a `Submit` body's layout byte: container header
+    /// (14) + kind (1) + seq, key_base, report_count, index_count.
+    const LAYOUT_AT: usize = 15 + 8 + 8 + 4 + 4;
 
     fn sample_frames() -> Vec<Frame> {
         let mut batch = ReportBatch::new();
@@ -533,6 +697,7 @@ mod tests {
         w.put_u64(0); // key_base
         w.put_u32(u32::MAX); // report_count
         w.put_u32(3); // index_count
+        w.put_u8(LAYOUT_LIST);
         let body = w.finish();
         assert_eq!(
             decode_frame(&body).unwrap_err(),
@@ -551,6 +716,7 @@ mod tests {
         w.put_u64(0);
         w.put_u32(2); // claims 2 reports…
         w.put_u32(1); // …and 1 index, but ships only one u32
+        w.put_u8(LAYOUT_LIST);
         w.put_u32(1);
         let body = w.finish();
         assert_eq!(
@@ -567,5 +733,161 @@ mod tests {
         assert_ne!(a, config_fingerprint(Method::BiLoloha, 101, 2, 1.0, 0.5));
         assert_ne!(a, config_fingerprint(Method::BiLoloha, 100, 4, 1.0, 0.5));
         assert_ne!(a, config_fingerprint(Method::BiLoloha, 100, 2, 2.0, 0.5));
+    }
+
+    /// The layout rule restated from the spec: the bitmap iff every
+    /// report is strictly increasing and its body is strictly smaller.
+    fn smaller_legal_layout(batch: &ReportBatch) -> u8 {
+        let increasing = batch.reports().all(|r| r.windows(2).all(|p| p[0] < p[1]));
+        let Some(&top) = batch.indices().iter().max() else {
+            return LAYOUT_LIST;
+        };
+        let rows = batch.report_count() as u64;
+        let list = 4 * (rows + batch.index_count() as u64);
+        let bitmap = 4 + 8 * rows * (u64::from(top) / 64 + 1);
+        if increasing && bitmap < list {
+            LAYOUT_BITMAP
+        } else {
+            LAYOUT_LIST
+        }
+    }
+
+    fn sorted_dedup(mut v: Vec<u32>) -> Vec<u32> {
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    /// One report of a random shape: ascending dense, ascending sparse,
+    /// unsorted, with duplicates, empty, or near the top of `u32`.
+    fn arb_report(rng: &mut TestRng) -> Vec<u32> {
+        let below = |rng: &mut TestRng, n: u64| u32::try_from(rng.below(n)).unwrap();
+        let len = rng.below(40) as usize;
+        match rng.below(6) {
+            0 => (0..below(rng, 300)).filter(|_| rng.below(2) == 0).collect(),
+            1 => sorted_dedup((0..len).map(|_| below(rng, 1 << 20)).collect()),
+            2 => (0..len).map(|_| below(rng, 200)).collect(),
+            3 => {
+                let mut v = sorted_dedup((0..len).map(|_| below(rng, 64)).collect());
+                if let Some(&x) = v.first() {
+                    v.insert(0, x);
+                }
+                v
+            }
+            4 => Vec::new(),
+            _ => sorted_dedup((0..len).map(|_| u32::MAX - below(rng, 4096)).collect()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every batch round-trips, and the encoder picks the smaller
+        /// legal layout.
+        #[test]
+        fn submit_round_trips_in_the_smaller_legal_layout(
+            reports in proptest::collection::vec(proptest::strategy::from_fn(arb_report), 0..24),
+            dense in 0usize..3,
+        ) {
+            let mut batch = ReportBatch::new();
+            for report in &reports {
+                batch.push_report(report.iter().copied());
+            }
+            // Fold a third of the cases into ascending sets below 300:
+            // dense batches, the ones that pick the bitmap.
+            if dense == 0 {
+                batch.clear();
+                for report in &reports {
+                    batch.push_report(sorted_dedup(report.iter().map(|&i| i % 300).collect()));
+                }
+            }
+            let frame = Frame::Submit { seq: 9, key_base: 3, batch };
+            let body = encode_frame(&frame, 1);
+            let Frame::Submit { batch, .. } = &frame else { unreachable!() };
+            prop_assert_eq!(body[LAYOUT_AT], smaller_legal_layout(batch));
+            prop_assert_eq!(decode_frame(&body).unwrap(), (1, frame.clone()));
+        }
+    }
+
+    #[test]
+    fn the_bitmap_must_be_strictly_smaller_and_every_report_increasing() {
+        // One report in one word: the bitmap body is 12 bytes, the list
+        // body 4 × (1 + indices).
+        for (report, layout) in [
+            (vec![0u32, 5], LAYOUT_LIST), // 12 = 12: a tie keeps the list
+            (vec![0, 5, 9], LAYOUT_BITMAP),
+            (vec![5, 0, 9], LAYOUT_LIST),
+            (vec![0, 5, 5], LAYOUT_LIST),
+        ] {
+            let mut batch = ReportBatch::new();
+            batch.push_report(report.iter().copied());
+            let frame = Frame::Submit {
+                seq: 1,
+                key_base: 0,
+                batch,
+            };
+            let body = encode_frame(&frame, 0);
+            assert_eq!(body[LAYOUT_AT], layout, "{report:?}");
+            assert_eq!(decode_frame(&body).unwrap(), (0, frame));
+        }
+    }
+
+    /// Collects one round's supports in submission order.
+    struct Capture(Vec<Vec<u32>>);
+
+    impl ReportSink for Capture {
+        type Error = ();
+
+        fn submit(&mut self, _user: u64, support: &[usize]) -> Result<(), ()> {
+            self.0
+                .push(support.iter().map(|&i| u32::try_from(i).unwrap()).collect());
+            Ok(())
+        }
+    }
+
+    /// The layout byte of every frame of one sanitized round, after
+    /// asserting each frame round-trips.
+    fn round_layouts(method: Method, k: u64) -> Vec<u8> {
+        let cfg = ClientConfig::for_method(method, k, 1.0, 0.5).unwrap();
+        let users = 300;
+        let mut pool = ClientPool::new(cfg, 7, users).unwrap();
+        let values: Vec<u64> = (0..users as u64).map(|u| (u * 37) % k).collect();
+        let mut sinks = [Capture(Vec::new())];
+        pool.sanitize_round_sinks(&values, &mut sinks).unwrap();
+        let [Capture(reports)] = sinks;
+        reports
+            .chunks(crate::DEFAULT_FRAME_REPORTS)
+            .map(|chunk| {
+                let mut batch = ReportBatch::new();
+                for report in chunk {
+                    batch.push_report(report.iter().copied());
+                }
+                let frame = Frame::Submit {
+                    seq: 1,
+                    key_base: 0,
+                    batch,
+                };
+                let body = encode_frame(&frame, 5);
+                assert_eq!(decode_frame(&body).unwrap(), (5, frame), "{method:?}");
+                body[LAYOUT_AT]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_method_round_trips_and_dense_supports_pick_the_bitmap() {
+        for method in Method::all() {
+            assert!(!round_layouts(method, 1024).is_empty(), "{method:?}");
+        }
+        for (method, k, layout) in [
+            (Method::BiLoloha, 1024, LAYOUT_BITMAP),
+            (Method::Rappor, 1024, LAYOUT_BITMAP),
+            (Method::LGrr, 8192, LAYOUT_LIST),
+        ] {
+            assert!(
+                round_layouts(method, k).iter().all(|&l| l == layout),
+                "{method:?} at k = {k} must pick layout {layout}"
+            );
+        }
     }
 }

@@ -14,7 +14,8 @@
 use ldp_ingest::ReportBatch;
 use ldp_netd::{
     decode_frame, encode_frame, read_frame, write_frame, Collectd, Conn, DaemonConfig, ErrorCode,
-    Frame, NetError, MAX_FRAME_LEN, MAX_WIRE_REPORTS, WIRE_MAGIC, WIRE_VERSION,
+    Frame, NetError, MAX_FRAME_LEN, MAX_WIRE_INDICES, MAX_WIRE_REPORTS, MAX_WIRE_WORDS, WIRE_MAGIC,
+    WIRE_VERSION,
 };
 use ldp_obs::MetricsRegistry;
 use ldp_primitives::codec::{CodecError, CodecWriter};
@@ -25,11 +26,17 @@ use std::net::TcpStream;
 
 const FP: u64 = 0x5EED_CAFE_F00D_D00D;
 
-/// One of every frame kind, with non-trivial payloads.
+/// One of every frame kind, with non-trivial payloads, and a `Submit`
+/// in each body layout.
 fn sample_frames() -> Vec<Frame> {
+    // Ascending and denser than 32 bits per index: the bitmap layout.
     let mut batch = ReportBatch::new();
     batch.push_report([1u32, 5, 11]);
     batch.push_report([0u32]);
+    // One index per report: the list layout.
+    let mut sparse = ReportBatch::new();
+    sparse.push_report([700u32]);
+    sparse.push_report([3u32]);
     vec![
         Frame::Hello {
             worker_id: 2,
@@ -46,6 +53,11 @@ fn sample_frames() -> Vec<Frame> {
             seq: 10,
             key_base: 512,
             batch,
+        },
+        Frame::Submit {
+            seq: 11,
+            key_base: 514,
+            batch: sparse,
         },
         Frame::Ack {
             seq: 10,
@@ -118,7 +130,14 @@ fn foreign_magics_are_rejected_as_bad_magic() {
 
 #[test]
 fn future_protocol_versions_fail_closed() {
-    for version in [WIRE_VERSION + 1, WIRE_VERSION + 7, u16::MAX] {
+    // The previous version fails closed too: wire frames have no shims,
+    // so a v1 (list-only `Submit`) peer is refused, never misparsed.
+    for version in [
+        WIRE_VERSION + 1,
+        WIRE_VERSION + 7,
+        u16::MAX,
+        WIRE_VERSION - 1,
+    ] {
         let mut w = CodecWriter::new(WIRE_MAGIC, version, FP);
         w.put_u8(6);
         let body = w.finish();
@@ -163,6 +182,110 @@ fn oversized_cardinality_claims_fail_before_any_allocation() {
     );
 }
 
+/// Byte offset of a `Submit` body's layout byte: container header (14)
+/// + kind (1) + seq, key_base, report_count, index_count.
+const LAYOUT_AT: usize = 15 + 8 + 8 + 4 + 4;
+
+/// A hand-built `Submit` with the given claims, layout byte, and body.
+fn submit_body(report_count: u32, index_count: u32, layout: u8, body: &[u8]) -> Vec<u8> {
+    let mut w = CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, FP);
+    w.put_u8(2);
+    w.put_u64(1);
+    w.put_u64(0);
+    w.put_u32(report_count);
+    w.put_u32(index_count);
+    w.put_u8(layout);
+    w.put_bytes(body);
+    w.finish()
+}
+
+/// A hand-built bitmap-layout `Submit`: `words u32 | rows × u64`.
+fn bitmap_submit(report_count: u32, index_count: u32, words: u32, rows: &[u64]) -> Vec<u8> {
+    let mut body = Vec::from(words.to_le_bytes());
+    for row in rows {
+        body.extend_from_slice(&row.to_le_bytes());
+    }
+    submit_body(report_count, index_count, 1, &body)
+}
+
+#[test]
+fn sample_submits_cover_both_layouts() {
+    let layouts: Vec<u8> = sample_frames()
+        .iter()
+        .filter(|f| matches!(f, Frame::Submit { .. }))
+        .map(|f| encode_frame(f, FP)[LAYOUT_AT])
+        .collect();
+    assert_eq!(layouts, [1, 0]);
+}
+
+#[test]
+fn a_hand_built_bitmap_decodes_to_its_set_bits() {
+    // Row 0 = {0, 1, 3, 64}, row 1 = {}, over two words per row.
+    let body = bitmap_submit(2, 4, 2, &[0b1011, 1, 0, 0]);
+    let Frame::Submit { batch, .. } = decode_frame(&body).unwrap().1 else {
+        panic!("a submit frame");
+    };
+    assert_eq!(batch.indices(), [0, 1, 3, 64]);
+    assert_eq!(batch.ends(), [4, 4]);
+}
+
+#[test]
+fn unknown_submit_layouts_are_typed() {
+    for layout in [2u8, 7, 255] {
+        assert_eq!(
+            decode_frame(&submit_body(1, 1, layout, &[0; 8])).unwrap_err(),
+            NetError::BadBatch("unknown submit layout")
+        );
+    }
+}
+
+#[test]
+fn bitmap_width_must_be_at_least_one_word_and_within_u32_indices() {
+    for words in [0, MAX_WIRE_WORDS + 1, u32::MAX] {
+        assert_eq!(
+            decode_frame(&bitmap_submit(1, 0, words, &[0])).unwrap_err(),
+            NetError::BadBatch("bitmap width outside 1..=2^26 words"),
+            "words = {words}"
+        );
+    }
+}
+
+#[test]
+fn bitmap_row_product_beyond_the_payload_fails_before_allocation() {
+    // report_count × words × 8 = 2^45 bytes claimed by a 16-byte body —
+    // beyond any 32-bit product, so it must be checked arithmetic.
+    let body = bitmap_submit(MAX_WIRE_REPORTS, 1, MAX_WIRE_WORDS, &[1, 0]);
+    assert_eq!(
+        decode_frame(&body).unwrap_err(),
+        NetError::BadBatch("batch counts disagree with payload length")
+    );
+}
+
+#[test]
+fn bitmap_popcount_must_equal_the_index_count() {
+    // Three set bits across two one-word rows.
+    for claimed in [2, 4, 0] {
+        assert_eq!(
+            decode_frame(&bitmap_submit(2, claimed, 1, &[0b101, 1 << 63])).unwrap_err(),
+            NetError::BadBatch("bitmap popcount disagrees with index count"),
+            "index_count = {claimed}"
+        );
+    }
+    assert!(decode_frame(&bitmap_submit(2, 3, 1, &[0b101, 1 << 63])).is_ok());
+}
+
+#[test]
+fn bitmap_index_count_beyond_the_cap_is_oversized() {
+    let body = bitmap_submit(1, MAX_WIRE_INDICES + 1, 1, &[u64::MAX]);
+    assert_eq!(
+        decode_frame(&body).unwrap_err(),
+        NetError::OversizedBatch {
+            reports: 1,
+            indices: MAX_WIRE_INDICES + 1
+        }
+    );
+}
+
 proptest! {
     /// Arbitrary blobs never panic the decoder; they either parse (only
     /// possible for a byte-exact valid frame) or come back typed.
@@ -175,7 +298,7 @@ proptest! {
     /// walks the "almost valid" space where parsers usually break.
     #[test]
     fn mutated_valid_frames_never_panic(
-        which in 0usize..9,
+        which in 0usize..10,
         byte in 0usize..64,
         value in any::<u8>(),
     ) {
@@ -337,6 +460,21 @@ fn a_hostile_gauntlet_cannot_take_the_daemon_down() {
         Frame::Error { code, .. } => assert_eq!(code, ErrorCode::SupportOutOfRange),
         other => panic!("expected a support-range error, got {other:?}"),
     }
+    // The same rejection for a bitmap-layout frame: a set bit at 40,
+    // beyond dim 16, behind sixteen legal ones.
+    let mut batch = ReportBatch::new();
+    batch.push_report((0u32..16).chain([40]));
+    let frame = Frame::Submit {
+        seq: 1,
+        key_base: 0,
+        batch,
+    };
+    assert_eq!(encode_frame(&frame, daemon.fingerprint())[LAYOUT_AT], 1);
+    c.send(&frame).unwrap();
+    match c.recv().unwrap().unwrap().1 {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::SupportOutOfRange),
+        other => panic!("expected a support-range error, got {other:?}"),
+    }
     let mut batch = ReportBatch::new();
     batch.push_report([15u32]);
     c.send(&Frame::Submit {
@@ -347,7 +485,7 @@ fn a_hostile_gauntlet_cannot_take_the_daemon_down() {
     .unwrap();
     assert!(
         matches!(c.recv().unwrap().unwrap().1, Frame::Ack { seq: 1, .. }),
-        "the connection survives an application-level rejection"
+        "the connection survives both application-level rejections"
     );
     drop(c);
 
