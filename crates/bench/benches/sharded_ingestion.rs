@@ -111,7 +111,6 @@ fn anon_reports(seed: u64) -> Vec<(CwHash, u32)> {
 /// worker threads.
 fn bench_concurrent_fill(c: &mut Criterion) {
     const ENVELOPE: usize = 64;
-    let params = LolohaParams::bi(1.0, 0.5).expect("valid budgets");
     let reports = anon_reports(7);
     let envelopes: Vec<Vec<(CwHash, u32)>> = reports.chunks(ENVELOPE).map(<[_]>::to_vec).collect();
 
@@ -127,7 +126,8 @@ fn bench_concurrent_fill(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("single_thread_baseline", |b| {
-        let mut agg = ShardedAggregator::for_loloha(K, params, 1).expect("valid");
+        let mut agg =
+            ShardedAggregator::for_method(Method::BiLoloha, K, 1.0, 0.5, 1).expect("valid");
         b.iter(|| {
             for (hash, cell) in &reports {
                 let pre = Preimages::build(hash, K);
@@ -139,7 +139,8 @@ fn bench_concurrent_fill(c: &mut Criterion) {
 
     for workers in [1usize, 2, 4, 8] {
         group.bench_function(format!("pipeline_{workers}_workers"), |b| {
-            let mut pipe = IngestPipeline::for_loloha(K, params, workers).expect("valid");
+            let mut pipe =
+                IngestPipeline::for_method(Method::BiLoloha, K, 1.0, 0.5, workers).expect("valid");
             b.iter(|| {
                 for (i, envelope) in envelopes.iter().enumerate() {
                     let batch = envelope.clone();
@@ -169,8 +170,7 @@ fn bench_concurrent_fill(c: &mut Criterion) {
 fn bench_sanitize_and_ingest(c: &mut Criterion) {
     use ldp_client::{ClientConfig, ClientPool};
 
-    let params = LolohaParams::bi(1.0, 0.5).expect("valid budgets");
-    let cfg = ClientConfig::for_loloha(K, params);
+    let cfg = ClientConfig::for_method(Method::BiLoloha, K, 1.0, 0.5).expect("valid budgets");
     let n = N_REPORTS as usize;
     let mut rng = derive_rng(11, 0x5A11);
     let values: Vec<u64> = (0..n).map(|_| uniform_u64(&mut rng, K)).collect();
@@ -185,7 +185,8 @@ fn bench_sanitize_and_ingest(c: &mut Criterion) {
 
     group.bench_function("single_thread_baseline", |b| {
         let mut pool = ClientPool::new(cfg, 11, n).expect("valid");
-        let mut agg = ShardedAggregator::for_loloha(K, params, 1).expect("valid");
+        let mut agg =
+            ShardedAggregator::for_method(Method::BiLoloha, K, 1.0, 0.5, 1).expect("valid");
         b.iter(|| {
             pool.sanitize_round_into_shards(black_box(&values), agg.shards_mut());
             black_box(agg.finish_round())
@@ -195,7 +196,8 @@ fn bench_sanitize_and_ingest(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         group.bench_function(format!("pool_pipeline_{workers}_workers"), |b| {
             let mut pool = ClientPool::new(cfg, 11, n).expect("valid");
-            let mut pipe = IngestPipeline::for_loloha(K, params, workers).expect("valid");
+            let mut pipe =
+                IngestPipeline::for_method(Method::BiLoloha, K, 1.0, 0.5, workers).expect("valid");
             b.iter(|| {
                 let handle = pipe.handle();
                 pool.sanitize_round(black_box(&values), workers, &handle)
@@ -220,8 +222,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     use ldp_obs::MetricsRegistry;
 
     const WORKERS: usize = 2;
-    let params = LolohaParams::bi(1.0, 0.5).expect("valid budgets");
-    let cfg = ClientConfig::for_loloha(K, params);
+    let cfg = ClientConfig::for_method(Method::BiLoloha, K, 1.0, 0.5).expect("valid budgets");
     let n = N_REPORTS as usize;
     let mut rng = derive_rng(11, 0x5A11);
     let values: Vec<u64> = (0..n).map(|_| uniform_u64(&mut rng, K)).collect();
@@ -235,7 +236,9 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             let mut pool = ClientPool::with_obs(cfg, 11, n, &reg).expect("valid");
-            let mut pipe = IngestPipeline::for_loloha_obs(K, params, WORKERS, &reg).expect("valid");
+            let mut pipe =
+                IngestPipeline::for_method_obs(Method::BiLoloha, K, 1.0, 0.5, WORKERS, &reg)
+                    .expect("valid");
             b.iter(|| {
                 let handle = pipe.handle();
                 pool.sanitize_round(black_box(&values), WORKERS, &handle)

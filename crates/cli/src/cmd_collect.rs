@@ -44,8 +44,7 @@ use ldp_client::{ClientConfig, ClientPool, ClientStore};
 use ldp_ingest::{IngestPipeline, ShardStore, DEFAULT_BATCH_REPORTS};
 use ldp_obs::MetricsRegistry;
 use ldp_primitives::codec;
-use ldp_runtime::ShardedAggregator;
-use loloha::LolohaParams;
+use ldp_runtime::{Method, Protocol, ShardedAggregator};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::path::Path;
@@ -182,12 +181,16 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
             "--client-checkpoint-chunk requires --client-checkpoint PATH",
         ));
     }
-    let params = if flags.switch("optimal") {
-        LolohaParams::optimal(eps_inf, alpha * eps_inf)
+    let method = if flags.switch("optimal") {
+        Method::OLoloha
     } else {
-        LolohaParams::bi(eps_inf, alpha * eps_inf)
-    }
-    .map_err(CliError::new)?;
+        Method::BiLoloha
+    };
+    let eps_1 = alpha * eps_inf;
+    let cfg = ClientConfig::for_method(method, k, eps_inf, eps_1).map_err(CliError::new)?;
+    let Protocol::Loloha(params) = cfg.protocol() else {
+        unreachable!("LOLOHA methods resolve to LOLOHA parameters")
+    };
 
     let records = parse_records(input)?;
     if records.is_empty() {
@@ -225,9 +228,7 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
         ids.dedup();
         ids.into_iter().enumerate().map(|(i, u)| (u, i)).collect()
     };
-    let mut pool =
-        ClientPool::with_obs(ClientConfig::for_loloha(k, params), seed, index.len(), &reg)
-            .map_err(CliError::new)?;
+    let mut pool = ClientPool::with_obs(cfg, seed, index.len(), &reg).map_err(CliError::new)?;
 
     // The server side: by default the shared sharded aggregator (shard
     // `i` holds the reports of the `i`-th contiguous range of dense pool
@@ -239,22 +240,22 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
     // so the estimates are deterministic and placement-independent
     // either way.
     let piped_workers = workers.unwrap_or(1).max(1) as usize;
+    let new_pipeline = || {
+        IngestPipeline::for_method_obs(method, k, eps_inf, eps_1, piped_workers, &reg)
+            .map_err(CliError::new)
+    };
     let mut collector = if workers.is_some() || store.is_some() {
-        Collector::Piped(Box::new(
-            IngestPipeline::for_loloha_obs(k, params, piped_workers, &reg)
-                .map_err(CliError::new)?,
-        ))
+        Collector::Piped(Box::new(new_pipeline()?))
     } else {
         Collector::Direct(Box::new(
-            ShardedAggregator::for_loloha_obs(k, params, shards as usize, &reg)
+            ShardedAggregator::for_method_obs(method, k, eps_inf, eps_1, shards as usize, &reg)
                 .map_err(CliError::new)?,
         ))
     };
 
     let mut out = format!(
-        "LOLOHA collect: k = {k}, g = {}, eps_inf = {eps_inf}, eps_1 = {:.3}, cap = {:.1}\n",
+        "LOLOHA collect: k = {k}, g = {}, eps_inf = {eps_inf}, eps_1 = {eps_1:.3}, cap = {:.1}\n",
         params.g(),
-        alpha * eps_inf,
         params.budget_cap()
     );
     let mut drilled = false;
@@ -302,8 +303,7 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
                     store
                         .save(&pipe.checkpoint().map_err(CliError::new)?)
                         .map_err(CliError::new)?;
-                    let mut fresh = IngestPipeline::for_loloha_obs(k, params, piped_workers, &reg)
-                        .map_err(CliError::new)?;
+                    let mut fresh = new_pipeline()?;
                     fresh
                         .restore(&store.load().map_err(CliError::new)?)
                         .map_err(CliError::new)?;
@@ -478,6 +478,54 @@ mod tests {
         }
     }
 
+    /// BiLOLOHA (g = 2) output for [`golden_csv`] at
+    /// `--k 5 --eps-inf 2.0 --alpha 0.5`, pinned from a release build.
+    const GOLDEN_BI: &str = "\
+LOLOHA collect: k = 5, g = 2, eps_inf = 2, eps_1 = 1.000, cap = 4.0
+round 0: n = 20, top-5 = [0:0.649, 3:0.216, 4:0.216, 1:0.000, 2:0.000]
+round 1: n = 20, top-5 = [1:0.433, 2:0.433, 0:0.216, 4:0.216, 3:-0.216]
+privacy: worst user spent 4.000 of the 4.0 cap across 20 user(s)
+";
+
+    /// The same input under `--optimal` (OLOLOHA resolves g = 3 here).
+    const GOLDEN_OPTIMAL: &str = "\
+LOLOHA collect: k = 5, g = 3, eps_inf = 2, eps_1 = 1.000, cap = 6.0
+round 0: n = 20, top-5 = [0:0.290, 2:0.290, 1:0.072, 3:-0.145, 4:-0.145]
+round 1: n = 20, top-5 = [1:0.507, 3:0.507, 0:0.072, 4:-0.362, 2:-0.580]
+privacy: worst user spent 4.000 of the 6.0 cap across 20 user(s)
+";
+
+    /// 20 users × 2 rounds over `[0, 5)`.
+    fn golden_csv() -> String {
+        let mut csv = String::from("round,user,value\n");
+        for round in 0..2u64 {
+            for u in 0..20u64 {
+                csv.push_str(&format!(
+                    "{round},{u},{}\n",
+                    (3 * u + 2 * round + u / 7) % 5
+                ));
+            }
+        }
+        csv
+    }
+
+    #[test]
+    fn collect_output_matches_the_pinned_golden_for_both_loloha_methods() {
+        // The invariance tests compare the CLI with itself; these strings
+        // also catch a change in how a method resolves its parameters.
+        let args = "--k 5 --eps-inf 2.0 --alpha 0.5";
+        for (extra, want) in [
+            ("", GOLDEN_BI),
+            ("--shards 4", GOLDEN_BI),
+            ("--workers 3", GOLDEN_BI),
+            ("--optimal", GOLDEN_OPTIMAL),
+            ("--optimal --workers 3", GOLDEN_OPTIMAL),
+        ] {
+            let got = run(&argv(&format!("{args} {extra}")), &mut input(&golden_csv())).unwrap();
+            assert_eq!(got, want, "`{extra}`");
+        }
+    }
+
     #[test]
     fn zero_shards_and_zero_workers_are_rejected() {
         let err = run(
@@ -595,19 +643,14 @@ mod tests {
             "loloha_cli_collect_client_only_{}.ckpt",
             std::process::id()
         ));
-        let mut csv = String::from("round,user,value\n");
-        for u in 0..40u64 {
-            csv.push_str(&format!("0,{u},{}\n1,{u},{}\n", u % 4, (u + 3) % 4));
-        }
-        let args = "--k 4 --eps-inf 2.0 --alpha 0.5 --top 2";
-        let reference = run(&argv(args), &mut input(&csv)).unwrap();
+        let args = "--k 5 --eps-inf 2.0 --alpha 0.5";
         let got = run(
             &argv(&format!("{args} --client-checkpoint {}", path.display())),
-            &mut input(&csv),
+            &mut input(&golden_csv()),
         )
         .unwrap();
         let (body, notice) = got.rsplit_once("client-checkpoint: ").expect("notice line");
-        assert_eq!(reference, body, "client-checkpointed run must match");
+        assert_eq!(body, GOLDEN_BI, "client-checkpointed run must match");
         assert!(notice.contains("saved and restored mid-round"), "{notice}");
         std::fs::remove_file(&path).ok();
     }

@@ -1,11 +1,12 @@
-//! The protocol registry: one constructor per [`Method`], resolved once.
+//! The client side of the protocol registry: per-user state for a
+//! [`Method`].
 //!
 //! Before this crate, every front end re-implemented a `match method`
-//! block to build per-user client state. [`ClientConfig`] resolves a
-//! method's full client-side parameterization (UE chain, LOLOHA `g`,
-//! dBitFlipPM `(b, d)`) exactly as `ldp_runtime::ShardedAggregator` does
-//! for the server side, and [`ClientConfig::build_state`] is the single
-//! registry-driven constructor everything dispatches through.
+//! block to build per-user client state. [`ClientConfig`] holds a method's
+//! [`Protocol`] from `Method::resolve` — the resolution
+//! `ldp_runtime::ShardedAggregator` builds the server side from — and
+//! [`ClientConfig::build_state`] is the single constructor everything
+//! dispatches through.
 
 use crate::state::{ClientState, DBitState, LolohaState};
 use crate::store::{CheckpointMeta, ClientStoreError};
@@ -13,88 +14,46 @@ use ldp_hash::CarterWegman;
 use ldp_longitudinal::{DBitFlipClient, LgrrClient, LongitudinalUeClient};
 use ldp_primitives::error::ParamError;
 use ldp_rand::LdpRng;
-use ldp_runtime::{dbit_buckets, Method};
-use loloha::{LolohaClient, LolohaParams};
-
-/// Registry tag for a custom LOLOHA parameterization (no [`Method`]).
-const CUSTOM_LOLOHA_TAG: u8 = 255;
+use ldp_runtime::{Method, Protocol};
+use loloha::LolohaClient;
 
 /// A resolved client-side protocol configuration: everything needed to
 /// construct one user's [`ClientState`] except the user's RNG stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientConfig {
-    method: Option<Method>,
+    method: Method,
     k: u64,
     eps_inf: f64,
     eps_first: f64,
-    loloha: Option<LolohaParams>,
-    dbit: Option<(u32, u32)>,
+    protocol: Protocol,
 }
 
 impl ClientConfig {
     /// Resolves `method` over domain `[0, k)` at budgets
-    /// `0 < eps_first < eps_inf` — the same parameter resolution as
-    /// `ShardedAggregator::for_method`, so client and server always agree.
+    /// `0 < eps_first < eps_inf` through `Method::resolve`.
     pub fn for_method(
         method: Method,
         k: u64,
         eps_inf: f64,
         eps_first: f64,
     ) -> Result<Self, ParamError> {
-        let (loloha, dbit) = match method {
-            Method::Rappor | Method::LOsue | Method::LOue | Method::LSoue | Method::LGrr => {
-                (None, None)
-            }
-            Method::BiLoloha => (Some(LolohaParams::bi(eps_inf, eps_first)?), None),
-            Method::OLoloha => (Some(LolohaParams::optimal(eps_inf, eps_first)?), None),
-            Method::OneBitFlip | Method::BBitFlip => {
-                let b = dbit_buckets(k);
-                let d = if method == Method::OneBitFlip { 1 } else { b };
-                (None, Some((b, d)))
-            }
-        };
         Ok(Self {
-            method: Some(method),
+            method,
             k,
             eps_inf,
             eps_first,
-            loloha,
-            dbit,
+            protocol: method.resolve(k, eps_inf, eps_first)?,
         })
     }
 
-    /// A custom LOLOHA deployment (bespoke `g` chosen outside the
-    /// [`Method`] registry — the CLI's and the examples' path).
-    pub fn for_loloha(k: u64, params: LolohaParams) -> Self {
-        Self {
-            method: None,
-            k,
-            eps_inf: params.eps_inf(),
-            eps_first: params.eps_first(),
-            loloha: Some(params),
-            dbit: None,
-        }
-    }
-
-    /// The registry method, when the config came from one.
-    pub fn method(&self) -> Option<Method> {
+    /// The registry method this config resolves.
+    pub fn method(&self) -> Method {
         self.method
     }
 
-    /// A static label for this configuration's protocol, suitable as a
-    /// telemetry label (metric labels must be `&'static str` — see
-    /// `ldp_obs`). Bespoke LOLOHA parameterizations built through
-    /// [`Self::for_loloha`] share one label.
-    pub fn method_label(&self) -> &'static str {
-        match self.method {
-            Some(m) => m.name(),
-            None => "LOLOHA (custom)",
-        }
-    }
-
-    /// Input domain size.
-    pub fn k(&self) -> u64 {
-        self.k
+    /// The method's resolved parameters.
+    pub fn protocol(&self) -> Protocol {
+        self.protocol
     }
 
     /// Builds one user's client state from the registry — the single
@@ -103,33 +62,25 @@ impl ClientConfig {
     /// dBitFlipPM its bucket positions), which is why restoring a
     /// checkpoint re-derives the same `(seed, user)` streams.
     pub fn build_state(&self, rng: &mut LdpRng) -> Result<Box<dyn ClientState>, ParamError> {
-        match self.method {
-            Some(Method::Rappor | Method::LOsue | Method::LOue | Method::LSoue) => {
-                let chain = self
-                    .method
-                    .and_then(|m| m.ue_chain())
-                    .expect("UE-chained method");
-                Ok(Box::new(LongitudinalUeClient::new(
-                    chain,
-                    self.k,
-                    self.eps_inf,
-                    self.eps_first,
-                )?))
-            }
-            Some(Method::LGrr) => Ok(Box::new(LgrrClient::new(
+        match self.protocol {
+            Protocol::Ue(chain) => Ok(Box::new(LongitudinalUeClient::new(
+                chain,
                 self.k,
                 self.eps_inf,
                 self.eps_first,
             )?)),
-            Some(Method::BiLoloha | Method::OLoloha) | None => {
-                let params = self.loloha.expect("resolved for LOLOHA configs");
+            Protocol::Lgrr => Ok(Box::new(LgrrClient::new(
+                self.k,
+                self.eps_inf,
+                self.eps_first,
+            )?)),
+            Protocol::Loloha(params) => {
                 let family =
                     CarterWegman::new(params.g()).ok_or(ParamError::InvalidG { g: params.g() })?;
                 let client = LolohaClient::new(&family, self.k, params, rng)?;
                 Ok(Box::new(LolohaState::new(client)))
             }
-            Some(Method::OneBitFlip | Method::BBitFlip) => {
-                let (b, d) = self.dbit.expect("resolved for dBitFlip configs");
+            Protocol::DBit { b, d } => {
                 let client = DBitFlipClient::new(self.k, b, d, self.eps_inf, rng)?;
                 Ok(Box::new(DBitState::new(client)))
             }
@@ -139,11 +90,15 @@ impl ClientConfig {
     /// The checkpoint-header fingerprint of this configuration under
     /// `seed`.
     pub fn meta(&self, seed: u64) -> CheckpointMeta {
-        let (b, d) = self.dbit.unwrap_or((0, 0));
+        let (g, b, d) = match self.protocol {
+            Protocol::Loloha(params) => (params.g(), 0, 0),
+            Protocol::DBit { b, d } => (0, b, d),
+            Protocol::Ue(_) | Protocol::Lgrr => (0, 0, 0),
+        };
         CheckpointMeta {
             method_tag: self.method_tag(),
             k: self.k,
-            g: self.loloha.map_or(0, |p| p.g()),
+            g,
             b,
             d,
             eps_inf: self.eps_inf,
@@ -182,16 +137,15 @@ impl ClientConfig {
         // enum ordering — reordering `Method::all()` must not be able to
         // silently re-tag existing checkpoint files.
         match self.method {
-            Some(Method::Rappor) => 0,
-            Some(Method::LOsue) => 1,
-            Some(Method::LOue) => 2,
-            Some(Method::LSoue) => 3,
-            Some(Method::LGrr) => 4,
-            Some(Method::BiLoloha) => 5,
-            Some(Method::OLoloha) => 6,
-            Some(Method::OneBitFlip) => 7,
-            Some(Method::BBitFlip) => 8,
-            None => CUSTOM_LOLOHA_TAG,
+            Method::Rappor => 0,
+            Method::LOsue => 1,
+            Method::LOue => 2,
+            Method::LSoue => 3,
+            Method::LGrr => 4,
+            Method::BiLoloha => 5,
+            Method::OLoloha => 6,
+            Method::OneBitFlip => 7,
+            Method::BBitFlip => 8,
         }
     }
 }
@@ -200,15 +154,30 @@ impl ClientConfig {
 mod tests {
     use super::*;
     use ldp_rand::derive_rng;
+    use ldp_runtime::ShardedAggregator;
 
     #[test]
     fn every_method_resolves_and_builds() {
-        for method in Method::all() {
-            let cfg = ClientConfig::for_method(method, 24, 2.0, 1.0).unwrap();
-            let mut rng = derive_rng(1, 0);
-            let state = cfg.build_state(&mut rng).unwrap();
-            assert_eq!(state.privacy_spent(), 0.0, "{method:?}");
-            assert_eq!(state.distinct_classes(), 0, "{method:?}");
+        // k = 360 and 361 straddle the dBitFlipPM bucket rule (b = k, then
+        // b = ⌊k/4⌋); the checkpoint header's (g, b, d) must match the
+        // aggregator built for the same method on both sides of it.
+        for k in [2u64, 24, 360, 361, 1024] {
+            for method in Method::all() {
+                let cfg = ClientConfig::for_method(method, k, 2.0, 1.0).unwrap();
+                let state = cfg.build_state(&mut derive_rng(1, 0)).unwrap();
+                assert_eq!(state.privacy_spent(), 0.0, "{method:?}");
+                assert_eq!(state.distinct_classes(), 0, "{method:?}");
+                let agg = ShardedAggregator::for_method(method, k, 2.0, 1.0, 1).unwrap();
+                let r = agg.reduced_domain().unwrap_or(0);
+                let want = match method {
+                    Method::BiLoloha | Method::OLoloha => (r, 0, 0),
+                    Method::OneBitFlip => (0, r, 1),
+                    Method::BBitFlip => (0, r, r),
+                    _ => (0, 0, 0),
+                };
+                let meta = cfg.meta(0);
+                assert_eq!((meta.g, meta.b, meta.d), want, "{method:?} k={k}");
+            }
         }
     }
 
@@ -234,10 +203,6 @@ mod tests {
                 .method_tag;
             assert_eq!(got, tag, "{method:?} re-tagged: bump the format version");
         }
-        let custom = ClientConfig::for_loloha(24, LolohaParams::bi(2.0, 1.0).unwrap())
-            .meta(0)
-            .method_tag;
-        assert_eq!(custom, 255);
     }
 
     #[test]
@@ -258,6 +223,15 @@ mod tests {
         ));
         let other = ClientConfig::for_method(Method::LGrr, 24, 2.0, 1.0).unwrap();
         assert!(cfg.verify_meta(&other.meta(7), 7).is_err());
+        // The retired custom-LOLOHA tag is a foreign method like any other,
+        // even on an otherwise matching BiLOLOHA header.
+        let bi = ClientConfig::for_method(Method::BiLoloha, 24, 2.0, 1.0).unwrap();
+        let mut m = bi.meta(7);
+        m.method_tag = 255;
+        assert!(matches!(
+            bi.verify_meta(&m, 7),
+            Err(ClientStoreError::Mismatch("method differs"))
+        ));
     }
 
     #[test]

@@ -103,7 +103,7 @@ struct PoolObs {
 impl PoolObs {
     fn new(obs: &MetricsRegistry, cfg: &ClientConfig) -> Self {
         Self {
-            sanitize_ns: obs.histogram_labeled("ldp.client.pool.sanitize_ns", cfg.method_label()),
+            sanitize_ns: obs.histogram_labeled("ldp.client.pool.sanitize_ns", cfg.method().name()),
             reports: obs.counter("ldp.client.pool.reports"),
             dirty_users: obs.gauge("ldp.client.pool.dirty_users"),
         }

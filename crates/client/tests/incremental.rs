@@ -55,8 +55,7 @@ fn values(n: usize, round: u64, seed: u64) -> Vec<u64> {
 
 fn run_round(p: &mut ClientPool, vals: &[u64]) -> Vec<u64> {
     let mut agg =
-        ShardedAggregator::for_method(p.config().method().unwrap(), K, EPS_INF, EPS_FIRST, 1)
-            .unwrap();
+        ShardedAggregator::for_method(p.config().method(), K, EPS_INF, EPS_FIRST, 1).unwrap();
     p.sanitize_round_into_shards(vals, agg.shards_mut());
     agg.finish_round().counts
 }

@@ -45,7 +45,6 @@ use crate::store::ShardCheckpoint;
 use ldp_obs::{Counter, Histogram, MetricsRegistry, Span};
 use ldp_primitives::error::ParamError;
 use ldp_runtime::{AggregateSnapshot, Method, Shard, ShardedAggregator};
-use loloha::LolohaParams;
 use std::error::Error;
 use std::fmt;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -493,37 +492,12 @@ impl IngestPipeline {
         ))
     }
 
-    /// Creates a LOLOHA pipeline from explicit parameters.
-    pub fn for_loloha(k: u64, params: LolohaParams, workers: usize) -> Result<Self, ParamError> {
-        Self::for_loloha_obs(k, params, workers, &MetricsRegistry::global())
-    }
-
-    /// [`Self::for_loloha`] with an explicit telemetry registry.
-    pub fn for_loloha_obs(
-        k: u64,
-        params: LolohaParams,
-        workers: usize,
-        obs: &MetricsRegistry,
-    ) -> Result<Self, ParamError> {
-        let agg = ShardedAggregator::for_loloha_obs(k, params, workers, obs)?;
-        Ok(Self::from_aggregator_obs(
-            agg,
-            DEFAULT_CHANNEL_CAPACITY,
-            obs,
-        ))
-    }
-
     /// Wraps an existing aggregator: one worker per aggregator shard, each
     /// envelope channel bounded at `capacity` (clamped to ≥ 1). The
     /// aggregator should be freshly reset; its shards hold merged round
-    /// state between [`Self::finish_round`] calls.
-    pub fn from_aggregator(agg: ShardedAggregator, capacity: usize) -> Self {
-        Self::from_aggregator_obs(agg, capacity, &MetricsRegistry::global())
-    }
-
-    /// [`Self::from_aggregator`] with an explicit telemetry registry for
-    /// the *pipeline* instruments (the aggregator keeps the registry it
-    /// was constructed with).
+    /// state between [`Self::finish_round`] calls. `obs` receives the
+    /// *pipeline* instruments (the aggregator keeps the registry it was
+    /// constructed with).
     pub fn from_aggregator_obs(
         mut agg: ShardedAggregator,
         capacity: usize,
@@ -559,20 +533,9 @@ impl IngestPipeline {
         self.agg.dim()
     }
 
-    /// The input domain size the pipeline was built for.
-    pub fn k(&self) -> u64 {
-        self.agg.k()
-    }
-
     /// Number of shard workers.
     pub fn worker_count(&self) -> usize {
         self.txs.len()
-    }
-
-    /// The underlying aggregator's method metadata (reduced domain,
-    /// k-binnedness, LOLOHA params, dBitFlip config).
-    pub fn aggregator(&self) -> &ShardedAggregator {
-        &self.agg
     }
 
     /// A cloneable submission handle for concurrent producers.
@@ -822,7 +785,7 @@ mod tests {
     #[test]
     fn backpressure_capacity_one_still_completes() {
         let agg = ShardedAggregator::for_method(Method::LGrr, 4, 2.0, 1.0, 2).unwrap();
-        let mut pipe = IngestPipeline::from_aggregator(agg, 1);
+        let mut pipe = IngestPipeline::from_aggregator_obs(agg, 1, &MetricsRegistry::new());
         for i in 0..500u64 {
             pipe.submit(i, [(i % 4) as usize]).unwrap();
         }

@@ -26,7 +26,7 @@ use ldp_netd::{
     NetSink,
 };
 use ldp_obs::MetricsRegistry;
-use ldp_runtime::{Method, ShardedAggregator};
+use ldp_runtime::Method;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -58,16 +58,17 @@ impl Drop for TempDir {
 /// same per-round values, straight into the ingest pipeline.
 fn reference_rounds(
     method: Method,
+    k: u64,
     users: usize,
     rounds: u64,
     workers: usize,
 ) -> Vec<(u64, Vec<f64>)> {
-    let cfg = ClientConfig::for_method(method, K, EPS_INF, EPS_FIRST).unwrap();
+    let cfg = ClientConfig::for_method(method, k, EPS_INF, EPS_FIRST).unwrap();
     let mut pool = ClientPool::new(cfg, SEED, users).unwrap();
-    let mut pipeline = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).unwrap();
+    let mut pipeline = IngestPipeline::for_method(method, k, EPS_INF, EPS_FIRST, workers).unwrap();
     let mut out = Vec::new();
     for round in 0..rounds {
-        let values = round_values(SEED, round, users, K);
+        let values = round_values(SEED, round, users, k);
         pool.sanitize_round(&values, workers, &pipeline.handle())
             .unwrap();
         let snap = pipeline.finish_round().unwrap();
@@ -97,8 +98,8 @@ fn assert_bit_identical(method: Method, reference: &[(u64, Vec<f64>)], got: &[(u
     }
 }
 
-fn daemon_config(method: Method) -> DaemonConfig {
-    let mut cfg = DaemonConfig::new(method, K, EPS_INF, EPS_FIRST);
+fn daemon_config(method: Method, k: u64) -> DaemonConfig {
+    let mut cfg = DaemonConfig::new(method, k, EPS_INF, EPS_FIRST);
     cfg.workers = 2;
     cfg
 }
@@ -106,11 +107,12 @@ fn daemon_config(method: Method) -> DaemonConfig {
 fn loadgen_config(
     addr: std::net::SocketAddr,
     method: Method,
+    k: u64,
     users: usize,
     rounds: u64,
     workers: usize,
 ) -> LoadgenConfig {
-    let mut cfg = LoadgenConfig::new(addr, method, K, EPS_INF, EPS_FIRST);
+    let mut cfg = LoadgenConfig::new(addr, method, k, EPS_INF, EPS_FIRST);
     cfg.users = users;
     cfg.rounds = rounds;
     cfg.workers = workers;
@@ -122,28 +124,35 @@ fn loadgen_config(
 #[test]
 fn loopback_collection_is_bit_identical_to_in_process_for_every_method() {
     let users = 24;
-    for method in Method::all() {
-        let obs = MetricsRegistry::new();
-        let daemon = Collectd::start(daemon_config(method), &obs).unwrap();
-        let cfg = loadgen_config(daemon.local_addr(), method, users, 1, 2);
-        let report = run_loadgen(&cfg, &obs).unwrap();
-        daemon.trigger_drain();
-        let dreport = daemon.join().unwrap();
+    // k = 360 and 361 straddle the dBitFlipPM bucket rule (b = k, then
+    // b = ⌊k/4⌋). On both sides of it loadgen's fingerprint must equal
+    // `Collectd::fingerprint()` (the daemon rejects any other `Hello`)
+    // and every reported index must be below the daemon's dim (the daemon
+    // rejects the `Submit` otherwise).
+    for k in [2u64, 24, 360, 361, 1024] {
+        for method in Method::all() {
+            let obs = MetricsRegistry::new();
+            let daemon = Collectd::start(daemon_config(method, k), &obs).unwrap();
+            let cfg = loadgen_config(daemon.local_addr(), method, k, users, 1, 2);
+            let report = run_loadgen(&cfg, &obs).unwrap();
+            daemon.trigger_drain();
+            let dreport = daemon.join().unwrap();
 
-        assert_eq!(report.retries, 0, "{}: clean run", method.name());
-        assert_eq!(
-            report.reports,
-            users as u64,
-            "{}: every report acked exactly once",
-            method.name()
-        );
-        assert_eq!(dreport.frames_applied, report.frames, "{}", method.name());
-        let got: Vec<_> = report
-            .rounds
-            .iter()
-            .map(|r| (r.reports, r.estimate.clone()))
-            .collect();
-        assert_bit_identical(method, &reference_rounds(method, users, 1, 2), &got);
+            assert_eq!(report.retries, 0, "{} k={k}: clean run", method.name());
+            assert_eq!(
+                report.reports,
+                users as u64,
+                "{} k={k}: every report acked exactly once",
+                method.name()
+            );
+            assert_eq!(dreport.frames_applied, report.frames, "{}", method.name());
+            let got: Vec<_> = report
+                .rounds
+                .iter()
+                .map(|r| (r.reports, r.estimate.clone()))
+                .collect();
+            assert_bit_identical(method, &reference_rounds(method, k, users, 1, 2), &got);
+        }
     }
 }
 
@@ -153,8 +162,8 @@ fn multi_round_schedules_cycle_end_round_correctly() {
     let rounds = 3;
     for method in [Method::BiLoloha, Method::BBitFlip] {
         let obs = MetricsRegistry::new();
-        let daemon = Collectd::start(daemon_config(method), &obs).unwrap();
-        let cfg = loadgen_config(daemon.local_addr(), method, users, rounds, 2);
+        let daemon = Collectd::start(daemon_config(method, K), &obs).unwrap();
+        let cfg = loadgen_config(daemon.local_addr(), method, K, users, rounds, 2);
         let report = run_loadgen(&cfg, &obs).unwrap();
         daemon.trigger_drain();
         let dreport = daemon.join().unwrap();
@@ -165,7 +174,7 @@ fn multi_round_schedules_cycle_end_round_correctly() {
             .iter()
             .map(|r| (r.reports, r.estimate.clone()))
             .collect();
-        assert_bit_identical(method, &reference_rounds(method, users, rounds, 2), &got);
+        assert_bit_identical(method, &reference_rounds(method, K, users, rounds, 2), &got);
     }
 }
 
@@ -185,9 +194,7 @@ fn send_prefix(
 ) -> u64 {
     let cfg = ClientConfig::for_method(method, K, EPS_INF, EPS_FIRST).unwrap();
     let mut pool = ClientPool::new(cfg, SEED, users).unwrap();
-    let dim = ShardedAggregator::for_method(method, K, EPS_INF, EPS_FIRST, 1)
-        .unwrap()
-        .dim();
+    let dim = cfg.protocol().dim(K);
     let fingerprint = config_fingerprint(method, K, dim as u64, EPS_INF, EPS_FIRST);
     let values = round_values(SEED, 0, users, K);
     let chunk = users.div_ceil(workers).max(1);
@@ -236,7 +243,7 @@ fn graceful_drain_and_resume_is_bit_identical_for_every_method_and_worker_count(
 
             // Phase 1: daemon A absorbs an aligned prefix, checkpointing
             // after every frame, then drains gracefully.
-            let mut dcfg = daemon_config(method);
+            let mut dcfg = daemon_config(method, K);
             dcfg.dir = Some(dir.0.clone());
             dcfg.checkpoint_every = 1;
             let daemon_a = Collectd::start(dcfg.clone(), &obs).unwrap();
@@ -252,7 +259,7 @@ fn graceful_drain_and_resume_is_bit_identical_for_every_method_and_worker_count(
             // loadgen replay regenerates the round and skips the prefix.
             let daemon_b = Collectd::start(dcfg, &obs).unwrap();
             assert!(daemon_b.resumed(), "{}: daemon B resumed", method.name());
-            let mut lcfg = loadgen_config(daemon_b.local_addr(), method, users, 1, workers);
+            let mut lcfg = loadgen_config(daemon_b.local_addr(), method, K, users, 1, workers);
             lcfg.frame_reports = frame_reports;
             let report = run_loadgen(&lcfg, &obs).unwrap();
             daemon_b.trigger_drain();
@@ -269,7 +276,11 @@ fn graceful_drain_and_resume_is_bit_identical_for_every_method_and_worker_count(
                 .iter()
                 .map(|r| (r.reports, r.estimate.clone()))
                 .collect();
-            assert_bit_identical(method, &reference_rounds(method, users, 1, workers), &got);
+            assert_bit_identical(
+                method,
+                &reference_rounds(method, K, users, 1, workers),
+                &got,
+            );
         }
     }
 }
@@ -284,7 +295,7 @@ fn hard_kill_mid_round_resumes_bit_identical_for_every_method() {
 
         // Daemon A dies (no final checkpoint) after 3 applied frames;
         // its last periodic checkpoint covers at most the first 2.
-        let mut dcfg = daemon_config(method);
+        let mut dcfg = daemon_config(method, K);
         dcfg.dir = Some(dir.0.clone());
         dcfg.checkpoint_every = 2;
         dcfg.kill_after_frames = Some(3);
@@ -303,7 +314,7 @@ fn hard_kill_mid_round_resumes_bit_identical_for_every_method() {
             (report_a, daemon_b)
         });
 
-        let mut lcfg = loadgen_config(addr, method, users, 1, 2);
+        let mut lcfg = loadgen_config(addr, method, K, users, 1, 2);
         lcfg.frame_reports = 2; // 4 frames per worker: the kill lands mid-round
         lcfg.retry_timeout = Some(Duration::from_secs(60));
         let report = run_loadgen(&lcfg, &obs).unwrap();
@@ -323,6 +334,6 @@ fn hard_kill_mid_round_resumes_bit_identical_for_every_method() {
             .iter()
             .map(|r| (r.reports, r.estimate.clone()))
             .collect();
-        assert_bit_identical(method, &reference_rounds(method, users, 1, 2), &got);
+        assert_bit_identical(method, &reference_rounds(method, K, users, 1, 2), &got);
     }
 }

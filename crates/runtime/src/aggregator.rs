@@ -18,13 +18,13 @@
 //!   and take non-destructive [`ShardedAggregator::snapshot`]s at any point
 //!   mid-round.
 
-use crate::method::{dbit_buckets, Method};
+use crate::method::{Method, Protocol};
 use ldp_hash::BucketMapper;
 use ldp_longitudinal::chain::ue_chain_params;
 use ldp_longitudinal::{DBitFlipServer, LgrrServer, LueServer};
 use ldp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span};
 use ldp_primitives::error::ParamError;
-use loloha::{LolohaParams, LolohaServer};
+use loloha::LolohaServer;
 
 /// Aggregator-side telemetry handles (`ldp.runtime.aggregator.*`). Only
 /// operational quantities flow through these: stage durations, the merged
@@ -87,19 +87,15 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(dim: usize) -> Self {
-        Self {
-            counts: vec![0; dim],
-            reports: 0,
-        }
-    }
-
     /// Creates an empty shard of aggregation dimension `dim`, for callers
     /// (such as `ldp_ingest` workers) that accumulate shard state outside a
     /// [`ShardedAggregator`] and merge it back in via
     /// [`ShardedAggregator::push_batch`].
     pub fn with_dim(dim: usize) -> Self {
-        Self::new(dim)
+        Self {
+            counts: vec![0; dim],
+            reports: 0,
+        }
     }
 
     /// Folds one report's support set in: every listed index gains a count.
@@ -176,20 +172,16 @@ pub struct AggregateSnapshot {
 
 /// Sharded streaming aggregation for one longitudinal protocol.
 ///
-/// See the [module docs](self) for the ingestion model. Constructed either
-/// from a [`Method`] (resolving the same protocol parameterization the
-/// simulator uses) or directly from [`LolohaParams`] for bespoke LOLOHA
-/// deployments.
+/// See the [module docs](self) for the ingestion model. Constructed from a
+/// [`Method`], whose parameters come from [`Method::resolve`] — the same
+/// resolution every client of the method builds from.
 #[derive(Debug, Clone)]
 pub struct ShardedAggregator {
     estimator: Estimator,
     shards: Vec<Shard>,
     dim: usize,
     k: u64,
-    reduced_domain: Option<u32>,
-    k_binned: bool,
-    loloha_params: Option<LolohaParams>,
-    dbit: Option<(u32, u32)>,
+    protocol: Protocol,
     obs: AggObs,
 }
 
@@ -228,71 +220,26 @@ impl ShardedAggregator {
         shards: usize,
         obs: &MetricsRegistry,
     ) -> Result<Self, ParamError> {
-        let (estimator, dim, reduced_domain, k_binned, loloha_params, dbit) = match method {
-            Method::Rappor | Method::LOsue | Method::LOue | Method::LSoue => {
-                let chain = method.ue_chain().expect("UE-chained method");
-                let chain = ue_chain_params(chain, eps_inf, eps_first)?;
-                let est = Estimator::Lue(LueServer::new(k, chain)?);
-                (est, k as usize, None, true, None, None)
-            }
-            Method::LGrr => {
-                let est = Estimator::Lgrr(LgrrServer::new(k, eps_inf, eps_first)?);
-                (est, k as usize, None, true, None, None)
-            }
-            Method::BiLoloha | Method::OLoloha => {
-                let params = if method == Method::BiLoloha {
-                    LolohaParams::bi(eps_inf, eps_first)?
-                } else {
-                    LolohaParams::optimal(eps_inf, eps_first)?
-                };
-                return Self::for_loloha_obs(k, params, shards, obs);
-            }
-            Method::OneBitFlip | Method::BBitFlip => {
-                let b = dbit_buckets(k);
-                let d = if method == Method::OneBitFlip { 1 } else { b };
+        let protocol = method.resolve(k, eps_inf, eps_first)?;
+        let estimator = match protocol {
+            Protocol::Ue(chain) => Estimator::Lue(LueServer::new(
+                k,
+                ue_chain_params(chain, eps_inf, eps_first)?,
+            )?),
+            Protocol::Lgrr => Estimator::Lgrr(LgrrServer::new(k, eps_inf, eps_first)?),
+            Protocol::Loloha(params) => Estimator::Loloha(LolohaServer::new(k, params)?),
+            Protocol::DBit { b, d } => {
                 BucketMapper::new(k, b).ok_or(ParamError::InvalidBuckets { b, d, k })?;
-                let est = Estimator::DBit(DBitFlipServer::new(b, d, eps_inf)?);
-                (est, b as usize, Some(b), b as u64 == k, None, Some((b, d)))
+                Estimator::DBit(DBitFlipServer::new(b, d, eps_inf)?)
             }
         };
+        let dim = protocol.dim(k);
         Ok(Self {
             estimator,
-            shards: vec![Shard::new(dim); shards.max(1)],
+            shards: vec![Shard::with_dim(dim); shards.max(1)],
             dim,
             k,
-            reduced_domain,
-            k_binned,
-            loloha_params,
-            dbit,
-            obs: AggObs::new(obs),
-        })
-    }
-
-    /// Creates a LOLOHA aggregator from explicit parameters (the CLI's and
-    /// examples' path, where `g` was chosen outside the [`Method`] enum).
-    ///
-    /// Telemetry lands in the process-wide [`MetricsRegistry::global`];
-    /// use [`Self::for_loloha_obs`] to direct it elsewhere.
-    pub fn for_loloha(k: u64, params: LolohaParams, shards: usize) -> Result<Self, ParamError> {
-        Self::for_loloha_obs(k, params, shards, &MetricsRegistry::global())
-    }
-
-    /// [`Self::for_loloha`] with an explicit telemetry registry.
-    pub fn for_loloha_obs(
-        k: u64,
-        params: LolohaParams,
-        shards: usize,
-        obs: &MetricsRegistry,
-    ) -> Result<Self, ParamError> {
-        Ok(Self {
-            estimator: Estimator::Loloha(LolohaServer::new(k, params)?),
-            shards: vec![Shard::new(k as usize); shards.max(1)],
-            dim: k as usize,
-            k,
-            reduced_domain: Some(params.g()),
-            k_binned: true,
-            loloha_params: Some(params),
-            dbit: None,
+            protocol,
             obs: AggObs::new(obs),
         })
     }
@@ -315,23 +262,13 @@ impl ShardedAggregator {
 
     /// The resolved reduced domain: `g` for LOLOHA, `b` for dBitFlipPM.
     pub fn reduced_domain(&self) -> Option<u32> {
-        self.reduced_domain
+        self.protocol.reduced_domain()
     }
 
     /// Whether estimates are k-binned (comparable to a k-bin ground truth).
     /// False only for dBitFlipPM with `b < k`.
     pub fn k_binned(&self) -> bool {
-        self.k_binned
-    }
-
-    /// The LOLOHA parameterization, when the method is LOLOHA-backed.
-    pub fn loloha_params(&self) -> Option<LolohaParams> {
-        self.loloha_params
-    }
-
-    /// The `(b, d)` bucket configuration, when the method is dBitFlipPM.
-    pub fn dbit_config(&self) -> Option<(u32, u32)> {
-        self.dbit
+        self.dim as u64 == self.k
     }
 
     /// Clears every shard, starting a fresh collection round.
@@ -565,25 +502,19 @@ mod tests {
         assert_eq!(agg.dim(), 353);
         assert_eq!(agg.reduced_domain(), Some(353));
         assert!(!agg.k_binned());
-        assert_eq!(agg.dbit_config(), Some((353, 353)));
         // Small domain: b = k, comparable.
         let agg = ShardedAggregator::for_method(Method::OneBitFlip, 24, 1.0, 0.5, 1).unwrap();
         assert_eq!(agg.dim(), 24);
+        assert_eq!(agg.reduced_domain(), Some(24));
         assert!(agg.k_binned());
-        assert_eq!(agg.dbit_config(), Some((24, 1)));
     }
 
     #[test]
     fn loloha_methods_expose_params() {
-        let agg = ShardedAggregator::for_method(Method::OLoloha, 100, 4.0, 2.0, 1).unwrap();
-        let params = agg.loloha_params().expect("LOLOHA-backed");
-        assert_eq!(agg.reduced_domain(), Some(params.g()));
+        let agg = ShardedAggregator::for_method(Method::OLoloha, 100, 4.0, 2.0, 4).unwrap();
+        assert_eq!(agg.reduced_domain(), Some(loloha::optimal_g(4.0, 2.0)));
+        assert_eq!((agg.dim(), agg.shard_count()), (100, 4));
         assert!(agg.k_binned());
-        // Direct parameterization agrees with the Method-resolved one.
-        let direct = ShardedAggregator::for_loloha(100, params, 4).unwrap();
-        assert_eq!(direct.dim(), 100);
-        assert_eq!(direct.shard_count(), 4);
-        assert_eq!(direct.reduced_domain(), Some(params.g()));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! repository examples all aggregate through one engine.
 //!
 //! * [`Method`] — the registry of longitudinal protocols served by the
-//!   runtime (the paper's §5 evaluation set plus the chaining extensions).
+//!   runtime (the paper's §5 evaluation set plus the chaining extensions),
+//!   and [`Protocol`], the parameters [`Method::resolve`] turns one into.
 //! * [`ShardedAggregator`] — batch/streaming ingestion into per-shard
 //!   partial support counts with a deterministic merge: the same reports
 //!   produce bit-identical estimates for any shard count, so worker
@@ -24,4 +25,4 @@ pub mod aggregator;
 pub mod method;
 
 pub use aggregator::{AggregateSnapshot, Shard, ShardedAggregator};
-pub use method::{dbit_buckets, Method};
+pub use method::{dbit_buckets, Method, Protocol};

@@ -2,9 +2,13 @@
 //!
 //! This is the method registry shared by every front end (simulator, CLI,
 //! bench harness): one variant per protocol of the paper's §5 evaluation,
-//! plus the paper's bucket-count rule for dBitFlipPM.
+//! plus the paper's bucket-count rule for dBitFlipPM. [`Method::resolve`]
+//! is the one place a method becomes parameters: client and server both
+//! build from the [`Protocol`] it returns.
 
 use ldp_longitudinal::UeChain;
+use ldp_primitives::error::ParamError;
+use loloha::LolohaParams;
 
 /// The longitudinal protocols evaluated in the paper (plus the two L-UE
 /// chaining extensions from Arcolezi et al. \[5\]).
@@ -105,6 +109,69 @@ impl Method {
             Method::LOue => Some(UeChain::OueOue),
             Method::LSoue => Some(UeChain::SueOue),
             _ => None,
+        }
+    }
+
+    /// Resolves this method over the domain `[0, k)` at budgets
+    /// `0 < eps_first < eps_inf`: BiLOLOHA's `g = 2`, OLOLOHA's Eq. (6)
+    /// optimal `g`, dBitFlipPM's `(b, d)` from [`dbit_buckets`]. Only the
+    /// LOLOHA budgets are checked here; the client and server constructors
+    /// that consume the [`Protocol`] check everything else.
+    pub fn resolve(self, k: u64, eps_inf: f64, eps_first: f64) -> Result<Protocol, ParamError> {
+        Ok(match self {
+            Method::Rappor => Protocol::Ue(UeChain::SueSue),
+            Method::LOsue => Protocol::Ue(UeChain::OueSue),
+            Method::LOue => Protocol::Ue(UeChain::OueOue),
+            Method::LSoue => Protocol::Ue(UeChain::SueOue),
+            Method::LGrr => Protocol::Lgrr,
+            Method::BiLoloha => Protocol::Loloha(LolohaParams::bi(eps_inf, eps_first)?),
+            Method::OLoloha => Protocol::Loloha(LolohaParams::optimal(eps_inf, eps_first)?),
+            Method::OneBitFlip | Method::BBitFlip => {
+                let b = dbit_buckets(k);
+                let d = if self == Method::OneBitFlip { 1 } else { b };
+                Protocol::DBit { b, d }
+            }
+        })
+    }
+}
+
+/// A [`Method`] resolved by [`Method::resolve`]: the parameters from which
+/// client state, the server estimator and the aggregation dimension are
+/// all built.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Protocol {
+    /// A unary-encoding chain (RAPPOR, L-OSUE, L-OUE, L-SOUE).
+    Ue(UeChain),
+    /// L-GRR.
+    Lgrr,
+    /// LOLOHA at a resolved hash range `g`.
+    Loloha(LolohaParams),
+    /// dBitFlipPM with `b` buckets, `d` of them sampled per user.
+    DBit {
+        /// Bucket count.
+        b: u32,
+        /// Sampled buckets per user.
+        d: u32,
+    },
+}
+
+impl Protocol {
+    /// The aggregation dimension over the domain `[0, k)`: `b` for
+    /// dBitFlipPM, `k` for every k-binned protocol. Every report index is
+    /// below it.
+    pub fn dim(&self, k: u64) -> usize {
+        match self {
+            Protocol::DBit { b, .. } => *b as usize,
+            Protocol::Ue(_) | Protocol::Lgrr | Protocol::Loloha(_) => k as usize,
+        }
+    }
+
+    /// The reduced domain: `g` for LOLOHA, `b` for dBitFlipPM.
+    pub fn reduced_domain(&self) -> Option<u32> {
+        match self {
+            Protocol::Loloha(params) => Some(params.g()),
+            Protocol::DBit { b, .. } => Some(*b),
+            Protocol::Ue(_) | Protocol::Lgrr => None,
         }
     }
 }

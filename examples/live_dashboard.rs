@@ -93,7 +93,8 @@ fn main() {
     // one pipeline instance, so counters survive the "crash".
     let reg = MetricsRegistry::new();
     let submitted = reg.counter_labeled("ldp.ingest.pipeline.envelopes", "task");
-    let mut pipe = IngestPipeline::for_loloha_obs(k, params, workers, &reg).expect("valid params");
+    let mut pipe = IngestPipeline::for_method_obs(Method::OLoloha, k, 3.0, 1.2, workers, &reg)
+        .expect("valid params");
     let midpoint = anon.len() / 2;
     for (i, r) in anon.iter().enumerate() {
         if i == midpoint {
@@ -113,7 +114,8 @@ fn main() {
             );
             let bytes = encode_checkpoint(&pipe.checkpoint().expect("workers alive"));
             drop(pipe);
-            pipe = IngestPipeline::for_loloha_obs(k, params, workers, &reg).expect("valid params");
+            pipe = IngestPipeline::for_method_obs(Method::OLoloha, k, 3.0, 1.2, workers, &reg)
+                .expect("valid params");
             pipe.restore(&decode_checkpoint(&bytes).expect("own checkpoint decodes"))
                 .expect("dimensions match");
             // Restoring replays saved *state*, never telemetry: the

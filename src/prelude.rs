@@ -10,9 +10,9 @@
 //! ```
 //! use loloha_suite::prelude::*;
 //!
-//! let params = LolohaParams::bi(1.0, 0.5).unwrap();
-//! let agg = ShardedAggregator::for_loloha(100, params, 4).unwrap();
+//! let agg = ShardedAggregator::for_method(Method::BiLoloha, 100, 1.0, 0.5, 4).unwrap();
 //! assert_eq!(agg.shard_count(), 4);
+//! assert_eq!(agg.reduced_domain(), Some(2)); // BiLOLOHA: g = 2
 //! ```
 
 // Parameterization and closed-form theory.

@@ -20,10 +20,10 @@ use loloha_suite::prelude::*;
 /// One full piped round; returns the registry's exported snapshot.
 fn run_round(reg: &MetricsRegistry) -> String {
     let k = 32u64;
-    let params = LolohaParams::bi(2.0, 1.0).expect("valid budgets");
-    let mut pool =
-        ClientPool::with_obs(ClientConfig::for_loloha(k, params), 99, 500, reg).expect("pool");
-    let mut pipe = IngestPipeline::for_loloha_obs(k, params, 3, reg).expect("pipeline");
+    let cfg = ClientConfig::for_method(Method::BiLoloha, k, 2.0, 1.0).expect("valid budgets");
+    let mut pool = ClientPool::with_obs(cfg, 99, 500, reg).expect("pool");
+    let mut pipe =
+        IngestPipeline::for_method_obs(Method::BiLoloha, k, 2.0, 1.0, 3, reg).expect("pipeline");
     let values: Vec<u64> = (0..500).map(|u| u % k).collect();
     let handle = pipe.handle();
     pool.sanitize_round(&values, 3, &handle).expect("workers");
